@@ -56,7 +56,6 @@ class RunConfig:
     player: int = 0            # 0 = both players
     out: str = "out"
     format: str = "csv"
-    seed: int = 0
     segmentation: str = "set"
     window: int = 20
     pca_components: int = 10
@@ -79,7 +78,6 @@ class RunConfig:
             sigma_grid=grid,
             split_fraction=self.split_fraction,
             decision_threshold=self.threshold,
-            seed=self.seed,
         )
 
     def digest(self) -> str:
@@ -519,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--format", choices=("csv", "json"),
                         help="report format (default: csv)")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--segmentation", choices=("set", "game"))
     parser.add_argument("--window", type=int, help="momentum window (points)")
     parser.add_argument("--pca-components", type=int, dest="pca_components")

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataQualityWarning, DegenerateRangeError
-from .indicators import indicator_vector, normalize_minmax, point_durations, positivize
-from .ingest import MatchTimeline
+from .indicators import INDICATOR_NAMES, normalize_minmax, positivize, segment_indicators
+from .ingest import MatchArrays, MatchTimeline
 
 COMMENT_GRADES = (
     "Very weak", "Weak", "Weaker", "Moderate", "Stronger", "Strong", "Very strong",
@@ -67,13 +67,11 @@ class MembershipVector:
     """Degrees of belonging to the 7 comment grades.
 
     ``raw`` holds the membership functions evaluated as written; ``grades``
-    is the normalized row (sum 1). ``fallback`` marks inputs that hit a
-    coverage hole and were graded from the nearest covered value.
+    is the normalized row (sum 1).
     """
 
     raw: tuple[float, ...]
     grades: tuple[float, ...]
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,80 +81,51 @@ class MomentumPoint:
     score: float
 
 
-# Membership functions over U in [0, 1]. Each grade is a sum of segments
-# active on [lo, hi): either a plateau of 1 or a linear ramp (u - x0) / w.
-def _ramp(x0: float, w: float):
-    return lambda u: (u - x0) / w
-
-
-def _flat(_u: float) -> float:
-    return 1.0
-
-
-_MEMBERSHIP_SEGMENTS: tuple[tuple[tuple[float, float, object], ...], ...] = (
-    # Very weak
-    ((0.0, 0.05, _flat), (0.05, 0.065, _ramp(0.065, -0.015))),
-    # Weak
-    ((0.06, 0.16, _ramp(0.06, 0.1)), (0.16, 0.3, _flat), (0.3, 0.35, _ramp(0.35, -0.05))),
-    # Weaker
-    ((0.25, 0.3, _ramp(0.25, 0.05)), (0.3, 0.35, _flat), (0.35, 0.4, _ramp(0.4, -0.05))),
+# Membership functions over U in [0, 1], one row per segment:
+# (grade, lo, hi, x0, w), grade indexing COMMENT_GRADES. A segment is active
+# on lo <= U < hi and adds (U - x0) / w there, or 1 where w = 0 (a plateau).
+# Each grade has at most one active segment at any U, and every U in [0, 1]
+# activates at least one.
+_SEGMENTS = (
+    (0, 0.0, 0.05, 0.0, 0.0), (0, 0.05, 0.065, 0.065, -0.015),
+    (1, 0.06, 0.16, 0.06, 0.1), (1, 0.16, 0.3, 0.0, 0.0), (1, 0.3, 0.35, 0.35, -0.05),
+    (2, 0.25, 0.3, 0.25, 0.05), (2, 0.3, 0.35, 0.0, 0.0), (2, 0.35, 0.4, 0.4, -0.05),
     # Moderate (ascending ramp active only on [0.35, 0.4); see README notes)
-    ((0.35, 0.4, _ramp(0.25, 0.15)), (0.4, 0.6, _flat), (0.6, 0.75, _ramp(0.75, -0.15))),
-    # Stronger
-    ((0.5, 0.52, _ramp(0.5, 0.1)), (0.55, 0.6, _flat), (0.6, 0.7, _ramp(0.7, -0.1))),
-    # Strong
-    ((0.65, 0.7, _ramp(0.65, 0.05)), (0.7, 0.84, _flat), (0.84, 0.9, _ramp(0.9, -0.06))),
-    # Very strong
-    ((0.75, 0.8, _ramp(0.75, 0.05)), (0.8, 1.0, _flat)),
+    (3, 0.35, 0.4, 0.25, 0.15), (3, 0.4, 0.6, 0.0, 0.0), (3, 0.6, 0.75, 0.75, -0.15),
+    (4, 0.5, 0.52, 0.5, 0.1), (4, 0.55, 0.6, 0.0, 0.0), (4, 0.6, 0.7, 0.7, -0.1),
+    (5, 0.65, 0.7, 0.65, 0.05), (5, 0.7, 0.84, 0.0, 0.0), (5, 0.84, 0.9, 0.9, -0.06),
+    # Very strong; inputs end at 1, so the plateau is closed there
+    (6, 0.75, 0.8, 0.75, 0.05), (6, 0.8, np.inf, 0.0, 0.0),
 )
+_GRADE, _LO, _HI, _X0, _W = (np.array(column) for column in zip(*_SEGMENTS))
+_TO_GRADE = np.eye(7)[_GRADE]  # (segments, 7) one-hot
 
 
-def _raw_membership(u: float) -> np.ndarray:
-    out = np.zeros(7)
-    for g, segments in enumerate(_MEMBERSHIP_SEGMENTS):
-        total = 0.0
-        for lo, hi, f in segments:
-            if lo <= u < hi:
-                total += f(u)
-        out[g] = total
-    return out
+def _grade(u) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and normalized membership rows for an array of U values.
+
+    Both results have shape ``u.shape + (7,)``.
+    """
+    u = np.asarray(u, dtype=float)
+    outside = ~((u >= 0.0) & (u <= 1.0))
+    if outside.any():
+        bad = float(u[outside].flat[0])
+        raise ValueError(f"membership input must be in [0, 1], got {bad!r}")
+    x = u[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(_W == 0.0, 1.0, (x - _X0) / _W)
+    raw = np.where((_LO <= x) & (x < _HI), value, 0.0) @ _TO_GRADE
+    return raw, raw / raw.sum(axis=-1, keepdims=True)
 
 
 def evaluate_membership(u: float, warn_on_fallback: bool = True) -> MembershipVector:
     """Grade a normalized indicator value onto the 7-level comment scale.
 
-    The piecewise functions leave a few values of U (notably U = 1.0)
-    matching no branch; such inputs borrow the raw grades of the nearest
-    covered U, and the result is flagged as a fallback.
+    Every U in [0, 1] is covered, so nothing falls back or warns;
+    ``warn_on_fallback`` is accepted for existing callers and has no effect.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"membership input must be in [0, 1], got {u!r}")
-    raw = _raw_membership(u)
-    fallback = False
-    if raw.sum() <= 0.0:
-        fallback = True
-        raw = _nearest_covered_raw(u)
-        if warn_on_fallback:
-            warnings.warn(
-                f"U={u!r} matches no membership branch; "
-                "graded from the nearest covered value",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-    grades = raw / raw.sum()
-    return MembershipVector(
-        tuple(float(v) for v in raw), tuple(float(v) for v in grades), fallback
-    )
-
-
-def _nearest_covered_raw(u: float, step: float = 1e-4) -> np.ndarray:
-    for k in range(1, int(1.0 / step) + 2):
-        for candidate in (u - k * step, u + k * step):
-            if 0.0 <= candidate <= 1.0:
-                raw = _raw_membership(candidate)
-                if raw.sum() > 0.0:
-                    return raw
-    raise AssertionError("no covered membership value found in [0, 1]")
+    raw, grades = _grade(u)
+    return MembershipVector(tuple(raw.tolist()), tuple(grades.tolist()))
 
 
 def entropy_weights(matrix: np.ndarray) -> np.ndarray:
@@ -237,19 +206,15 @@ def momentum_score(b: Sequence[float]) -> float:
 def _window_indicator_matrix(
     timeline: MatchTimeline, player: int, window: int, hierarchy: FuzzyHierarchy
 ) -> np.ndarray:
-    records = timeline.records
-    durations = point_durations(records)
-    names = hierarchy.indicator_names
-    rows = []
+    side = MatchArrays.from_records(timeline.records).player(player)
+    columns = [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]
     with warnings.catch_warnings():
         # Degenerate windows (no points won, etc.) are routine here.
         warnings.simplefilter("ignore", DataQualityWarning)
-        for end in range(window - 1, len(records)):
-            seg = records[end + 1 - window : end + 1]
-            vec = indicator_vector(
-                seg, player, durations=durations[end + 1 - window : end + 1]
-            )
-            rows.append([getattr(vec, n) for n in names])
+        rows = [
+            segment_indicators(side, slice(end - window, end))[columns]
+            for end in range(window, len(timeline) + 1)
+        ]
     return np.asarray(rows, dtype=float)
 
 
@@ -301,19 +266,15 @@ def momentum_series(
             weights.append(np.full(len(group_names), 1.0 / len(group_names)))
         offset += len(group_names)
 
-    fallbacks = 0
+    _, grades = _grade(u)
     points = []
     a = hierarchy.first_level_weights
     for t in range(u.shape[0]):
         offset = 0
         b_rows = []
         for g, (_, group_names) in enumerate(hierarchy.groups):
-            rows = []
-            for j in range(len(group_names)):
-                mv = evaluate_membership(u[t, offset + j], warn_on_fallback=False)
-                fallbacks += mv.fallback
-                rows.append(mv.grades)
-            b_rows.append(first_level_eval(weights[g], np.asarray(rows)))
+            rows = grades[t, offset : offset + len(group_names)]
+            b_rows.append(first_level_eval(weights[g], rows))
             offset += len(group_names)
         b = second_level_eval(a, np.asarray(b_rows))
         record = timeline.records[window - 1 + t]
@@ -323,12 +284,5 @@ def momentum_series(
                 player=player,
                 score=momentum_score(b),
             )
-        )
-    if fallbacks:
-        warnings.warn(
-            f"{fallbacks} membership evaluations hit coverage holes and used "
-            "the nearest covered value",
-            DataQualityWarning,
-            stacklevel=2,
         )
     return points

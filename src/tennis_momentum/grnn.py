@@ -26,7 +26,6 @@ class CvConfig:
     sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     split_fraction: float = 0.7
     decision_threshold: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.folds < 2:
@@ -103,14 +102,10 @@ def grnn_predict(model: GrnnModel, x: Sequence[float]) -> float:
             f"query has {q.shape[1]} features, model expects "
             f"{model.training_inputs.shape[1]}"
         )
-    qn = _normalize(q, model.feature_normalization)[0]
-    d2 = ((model.training_inputs - qn) ** 2).sum(axis=1)
-    with np.errstate(under="ignore"):
-        w = np.exp(-d2 / (2.0 * model.sigma**2))
-    denom = w.sum()
-    if denom == 0.0:
-        return float(model.training_targets[int(np.argmin(d2))])
-    return float((w @ model.training_targets) / denom)
+    qn = _normalize(q, model.feature_normalization)
+    return float(
+        _predict_block(model.training_inputs, model.training_targets, qn, model.sigma)[0]
+    )
 
 
 def _predict_block(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataQualityWarning, DegenerateRangeError
-from .ingest import MatchTimeline, PointRecord
+from .ingest import MatchArrays, MatchTimeline, PlayerColumns, PointRecord
 
 INDICATOR_NAMES = tuple(f"x{i}" for i in range(1, 23))
 
@@ -66,70 +66,43 @@ def _warn(msg: str) -> None:
     warnings.warn(msg, DataQualityWarning, stacklevel=3)
 
 
-def point_durations(records: Sequence[PointRecord]) -> np.ndarray:
-    """Per-point duration in seconds from the cumulative match clock."""
-    elapsed = np.array([r.elapsed_seconds for r in records], dtype=float)
-    prev = np.concatenate([[0.0], elapsed[:-1]])
-    return np.maximum(elapsed - prev, 0.0)
-
-
-def _flag(records, field) -> np.ndarray:
-    return np.array(
-        [0.0 if getattr(r, field) is None else float(getattr(r, field)) for r in records]
-    )
-
-
-def indicator_vector(
-    records: Sequence[PointRecord],
-    player: int,
-    durations: Sequence[float] | None = None,
-    x3_variance: bool = False,
-) -> IndicatorVector:
+def indicator_vector(records: Sequence[PointRecord], player: int) -> IndicatorVector:
     """Compute x1..x22 for one player over one contiguous segment.
 
-    ``durations`` lets the caller supply match-wide point durations so the
-    first point of a segment keeps its true length; by default they are
-    derived from the segment's own clock. With ``x3_variance`` set, x3 is
-    the population variance of won-point durations instead of the mean
-    successive difference.
+    Durations come from the segment's own clock; ``compute_indicators``
+    uses match-wide durations so a segment's first point keeps its length.
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
     if not records:
         raise ValueError("segment must contain at least one record")
-    m = len(records)
-    me = "p1" if player == 1 else "p2"
+    side = MatchArrays.from_records(records).player(player)
+    return IndicatorVector(*segment_indicators(side, slice(None)))
 
-    if durations is None:
-        durations = point_durations(records)
-    durations = np.asarray(durations, dtype=float)
 
-    won = np.array([r.point_victor == player for r in records])
+def segment_indicators(side: PlayerColumns, rows: slice | np.ndarray) -> np.ndarray:
+    """x1..x22 for one player over the points ``rows`` selects."""
+    player = side.player
+    won = side.won[rows]
+    m = won.size
     x1 = float(won.sum())
 
-    win_times = durations[won]
+    win_times = side.durations[rows][won]
     if win_times.size:
         x2 = float(win_times.mean())
     else:
         _warn(f"player {player}: no points won in segment; x2/x3 set to 0")
         x2 = 0.0
     if win_times.size >= 2:
-        if x3_variance:
-            x3 = float(win_times.var())
-        else:
-            x3 = float(np.diff(win_times).sum() / win_times.size)
+        x3 = float(np.diff(win_times).sum() / win_times.size)
     else:
         x3 = 0.0
 
-    scores = np.array([getattr(r, f"{me}_score") for r in records], dtype=float)
+    scores = side.score[rows]
     x4 = float(scores.mean())
     x5 = float(scores.sum())
     x6 = float((scores >= 40).sum() / m)
 
-    own_pw = np.array([getattr(r, f"{me}_points_won") for r in records], dtype=float)
-    total_pw = np.array(
-        [r.p1_points_won + r.p2_points_won for r in records], dtype=float
-    )
+    own_pw = side.points_won[rows]
+    total_pw = own_pw + side.opp_points_won[rows]
     shares = np.zeros(m)
     nonzero = total_pw > 0
     if not nonzero.all():
@@ -138,10 +111,10 @@ def indicator_vector(
     x7 = float(shares.mean())
     x8 = float(shares.var())
 
-    has_serve = all(r.server is not None and r.serve_no is not None for r in records)
+    has_serve = bool(side.serve_known[rows].all())
     if has_serve:
-        serving = np.array([r.server == player for r in records])
-        first = np.array([r.serve_no == 1 for r in records])
+        serving = side.serving[rows]
+        first = side.first_serve[rows]
         x9 = float((won & serving & first).sum())
         x10 = float((won & serving & ~first).sum())
     else:
@@ -155,63 +128,50 @@ def indicator_vector(
             _warn(f"player {player}: no points won on serve; x11/x12 set to 0")
         x11 = x12 = 0.0
 
-    x13 = float(_flag(records, f"{me}_ace").sum())
+    events = side.events[:, rows]  # aces first, then x15..x20 in EVENT_FLAGS order
+    x13 = float(events[0].sum())
     x14 = x1 / m
-    x15 = float(_flag(records, f"{me}_untouchable_winner").mean())
-    x16 = float(_flag(records, f"{me}_double_fault").mean())
-    x17 = float(_flag(records, f"{me}_unforced_error").mean())
-    x18 = float(_flag(records, f"{me}_net_approach").mean())
-    x19 = float(_flag(records, f"{me}_net_point_won").mean())
-    x20 = float(_flag(records, f"{me}_break_point_missed").mean())
+    rates = (events[1:].sum(axis=1) / m).tolist()
 
-    dists = np.array(
-        [getattr(r, f"{me}_distance_run") for r in records], dtype=object
-    )
-    present = np.array([d is not None for d in dists])
-    if present.any():
-        dv = np.array([float(d) for d in dists[present]])
+    dists = side.distance[rows]
+    dv = dists[~np.isnan(dists)]
+    if dv.size:
         x21 = float(dv.mean())
         x22 = float(dv.var())
     else:
         _warn(f"player {player}: no running-distance values; x21/x22 set to 0")
         x21 = x22 = 0.0
 
-    return IndicatorVector(
-        x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
-        x16, x17, x18, x19, x20, x21, x22,
+    return np.array(
+        [x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, *rates, x21, x22]
     )
 
 
-def compute_indicators(
-    timeline: MatchTimeline,
-    player: int,
-    segmentation: str = "set",
-    x3_variance: bool = False,
-) -> list[IndicatorVector]:
-    """One IndicatorVector per segment (``"set"`` or ``"game"``)."""
+def _segments(arrays: MatchArrays, segmentation: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sorted unique segment keys and, per key, the positions of its points."""
     if segmentation not in ("set", "game"):
         raise ValueError(f"segmentation must be 'set' or 'game', got {segmentation!r}")
-    durations = point_durations(timeline.records)
-    segments: dict[tuple, tuple[list[PointRecord], list[float]]] = {}
-    for r, d in zip(timeline.records, durations):
-        key = (r.set_no,) if segmentation == "set" else (r.set_no, r.game_no)
-        recs, durs = segments.setdefault(key, ([], []))
-        recs.append(r)
-        durs.append(d)
-    return [
-        indicator_vector(recs, player, durations=durs, x3_variance=x3_variance)
-        for _, (recs, durs) in sorted(segments.items())
-    ]
+    columns = [arrays.set_no] if segmentation == "set" else [arrays.set_no, arrays.game_no]
+    unique, inverse, counts = np.unique(
+        np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    return unique, np.split(order, np.cumsum(counts)[:-1])
+
+
+def compute_indicators(
+    timeline: MatchTimeline, player: int, segmentation: str = "set"
+) -> list[IndicatorVector]:
+    """One IndicatorVector per segment (``"set"`` or ``"game"``)."""
+    arrays = MatchArrays.from_records(timeline.records)
+    side = arrays.player(player)
+    _, segments = _segments(arrays, segmentation)
+    return [IndicatorVector(*segment_indicators(side, rows)) for rows in segments]
 
 
 def segment_labels(timeline: MatchTimeline, segmentation: str = "set") -> list[str]:
     """Segment names aligned with ``compute_indicators`` output."""
-    keys = []
-    for r in timeline.records:
-        key = (r.set_no,) if segmentation == "set" else (r.set_no, r.game_no)
-        if key not in keys:
-            keys.append(key)
-    keys.sort()
+    keys, _ = _segments(MatchArrays.from_records(timeline.records), segmentation)
     if segmentation == "set":
         return [f"set{k[0]}" for k in keys]
     return [f"set{k[0]}-game{k[1]}" for k in keys]

@@ -13,6 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -100,6 +101,105 @@ class MatchTimeline:
 
     def __len__(self):
         return len(self.records)
+
+
+# Per-player event flags, as field suffixes after "p1_" / "p2_".
+EVENT_FLAGS = (
+    "ace", "untouchable_winner", "double_fault", "unforced_error",
+    "net_approach", "net_point_won", "break_point_missed",
+)
+_PER_PLAYER = ("sets", "score", "points_won", "distance_run") + EVENT_FLAGS
+_ARRAY_FIELDS = (
+    "point_victor", "elapsed_seconds", "set_no", "game_no", "server", "serve_no",
+) + tuple(f"p{p}_{name}" for p in (1, 2) for name in _PER_PLAYER)
+_get_array_fields = attrgetter(*_ARRAY_FIELDS)
+
+
+@dataclass(frozen=True)
+class PlayerColumns:
+    """One player's view of a match: own columns plus the opponent's."""
+
+    player: int
+    won: np.ndarray             # bool
+    durations: np.ndarray
+    sets: np.ndarray
+    score: np.ndarray
+    opp_score: np.ndarray
+    points_won: np.ndarray
+    opp_points_won: np.ndarray
+    serving: np.ndarray         # bool, False where server is absent
+    first_serve: np.ndarray     # bool, False where serve_no is absent
+    serve_known: np.ndarray     # bool, server and serve_no both present
+    events: np.ndarray          # (len(EVENT_FLAGS), n) 0/1, absent = 0
+    distance: np.ndarray        # NaN where absent
+
+
+@dataclass(frozen=True)
+class MatchArrays:
+    """Numeric columns of a point sequence, extracted once from its records.
+
+    Per-player columns have a leading axis of 2, index 0 for player 1.
+    Absent event flags read as 0; absent distances, servers and serve
+    numbers as NaN. Durations come from the sequence's own cumulative clock
+    (the first point counts from 0; a clock running backwards gives 0).
+    """
+
+    victor: np.ndarray       # 1 or 2
+    durations: np.ndarray
+    set_no: np.ndarray       # int
+    game_no: np.ndarray      # int
+    server: np.ndarray
+    serve_no: np.ndarray
+    serve_known: np.ndarray  # bool, server and serve_no both present
+    sets: np.ndarray         # (2, n)
+    score: np.ndarray        # (2, n)
+    points_won: np.ndarray   # (2, n)
+    events: np.ndarray       # (2, len(EVENT_FLAGS), n)
+    distance: np.ndarray     # (2, n)
+
+    @classmethod
+    def from_records(cls, records: Sequence[PointRecord]) -> MatchArrays:
+        if not records:
+            raise EmptyInputError("MatchArrays needs at least one record")
+        # one row per field of _ARRAY_FIELDS; None becomes NaN
+        table = np.array(list(map(_get_array_fields, records)), dtype=float)
+        table = np.ascontiguousarray(table.T)
+        victor, elapsed, set_no, game_no, server, serve_no = table[:6]
+        per_player = table[6:].reshape(2, len(_PER_PLAYER), -1)
+        return cls(
+            victor=victor,
+            durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
+            set_no=set_no.astype(int),
+            game_no=game_no.astype(int),
+            server=server,
+            serve_no=serve_no,
+            serve_known=~(np.isnan(server) | np.isnan(serve_no)),
+            sets=per_player[:, 0],
+            score=per_player[:, 1],
+            points_won=per_player[:, 2],
+            distance=per_player[:, 3],
+            events=np.nan_to_num(per_player[:, 4:], nan=0.0),
+        )
+
+    def player(self, p: int) -> PlayerColumns:
+        if p not in (1, 2):
+            raise ValueError(f"player must be 1 or 2, got {p!r}")
+        me, opp = p - 1, 2 - p
+        return PlayerColumns(
+            player=p,
+            won=self.victor == p,
+            durations=self.durations,
+            sets=self.sets[me],
+            score=self.score[me],
+            opp_score=self.score[opp],
+            points_won=self.points_won[me],
+            opp_points_won=self.points_won[opp],
+            serving=self.server == p,
+            first_serve=self.serve_no == 1,
+            serve_known=self.serve_known,
+            events=self.events[me],
+            distance=self.distance[me],
+        )
 
 
 @dataclass(frozen=True)
@@ -297,7 +397,7 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
                 DataQualityWarning,
                 stacklevel=2,
             )
-        by_match: dict[str, list[PointRecord]] = {}
+        by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
         for row_number, row in enumerate(reader, start=1):
             kwargs = {}
             for column, field in _FIELD_FOR_COLUMN.items():
@@ -306,24 +406,25 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
                 kwargs[field] = _parse_cell(
                     _KIND_FOR_COLUMN[column], row.get(column) or "", row_number
                 )
-            record = PointRecord(**kwargs)
-            by_match.setdefault(record.match_id, []).append(record)
+            r = PointRecord(**kwargs)
+            key = (r.set_no, r.game_no, r.point_no)
+            by_match.setdefault(r.match_id, []).append((key, row_number, r))
 
     if not by_match:
         raise EmptyInputError(f"{path} contains no data rows")
 
     timelines = []
     for match_id in sorted(by_match):
-        records = sorted(
-            by_match[match_id], key=lambda r: (r.set_no, r.game_no, r.point_no)
-        )
-        keys = [(r.set_no, r.game_no, r.point_no) for r in records]
-        for a, b in zip(keys, keys[1:]):
-            if a == b:
+        # stable: of two rows with one key, the later row comes second
+        rows = sorted(by_match[match_id], key=lambda item: item[0])
+        for (key_a, row_a, _), (key_b, row_b, _) in zip(rows, rows[1:]):
+            if key_a == key_b:
                 raise RowParseError(
-                    0, f"match {match_id}: duplicate point key {a}"
+                    row_b,
+                    f"match {match_id}: duplicate point key {key_b} "
+                    f"(rows {row_a} and {row_b})",
                 )
-        timelines.append(MatchTimeline(match_id, tuple(records)))
+        timelines.append(MatchTimeline(match_id, tuple(r for _, _, r in rows)))
     return timelines
 
 

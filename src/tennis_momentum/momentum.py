@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataQualityWarning, EmptyInputError, UndefinedCorrelationError
-from .ingest import MatchTimeline
+from .ingest import EVENT_FLAGS, MatchArrays, MatchTimeline
 
 FEATURE_NAMES = ("S1", "S2", "S3", "S4")
 SAMPLE_COLUMNS = FEATURE_NAMES + ("omega",)
@@ -94,29 +94,21 @@ def extract_momentum_samples(
     stand-in) is omitted; that is the recommended setting for training and
     correlation work.
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    sign = 1 if player == 1 else -1
-    records = timeline.records
-    samples = []
-    streak = 0
-    for i, r in enumerate(records):
-        won = r.point_victor == player
-        streak = streak + 1 if won else 0
-        if i + 1 < len(records):
-            omega = int(records[i + 1].point_victor == player)
-        else:
-            omega = int(won)
-        samples.append(
-            MomentumSample(
-                index=i + 1,
-                s1=r.p1_sets if player == 1 else r.p2_sets,
-                s2=sign * (r.p1_score - r.p2_score),
-                s3=streak,
-                s4=sign * (r.p1_points_won - r.p2_points_won),
-                omega=omega,
-            )
-        )
+    side = MatchArrays.from_records(timeline.records).player(player)
+    won = side.won
+    positions = np.arange(won.size)
+    last_loss = np.maximum.accumulate(np.where(won, -1, positions))
+    columns = zip(
+        side.sets.astype(int).tolist(),
+        (side.score - side.opp_score).astype(int).tolist(),
+        (positions - last_loss).tolist(),  # S3: points since the last loss
+        (side.points_won - side.opp_points_won).astype(int).tolist(),
+        np.append(won[1:], won[-1]).astype(int).tolist(),
+    )
+    samples = [
+        MomentumSample(i + 1, s1, s2, s3, s4, omega)
+        for i, (s1, s2, s3, s4, omega) in enumerate(columns)
+    ]
     return samples[:-1] if drop_final else samples
 
 
@@ -290,39 +282,15 @@ def extra_feature_columns(
     Every column has one value per point, computed over the match history up
     to and including that point. Flags absent from the file count as zero.
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
-    records = timeline.records
-    me = "p1" if player == 1 else "p2"
-    n = len(records)
-
-    def flag(field: str) -> np.ndarray:
-        return np.array(
-            [
-                0.0 if getattr(r, f"{me}_{field}") is None else float(getattr(r, f"{me}_{field}"))
-                for r in records
-            ]
-        )
-
-    won = np.array([float(r.point_victor == player) for r in records])
-    elapsed = np.array([float(r.elapsed_seconds) for r in records])
-    durations = np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0)
-    scores = np.array([float(getattr(r, f"{me}_score")) for r in records])
-    serving = np.array(
-        [float(r.server == player) if r.server is not None else 0.0 for r in records]
-    )
-    first_serve = np.array(
-        [float(r.serve_no == 1) if r.serve_no is not None else 0.0 for r in records]
-    )
-    dist = np.array(
-        [
-            0.0 if getattr(r, f"{me}_distance_run") is None else float(getattr(r, f"{me}_distance_run"))
-            for r in records
-        ]
-    )
+    side = MatchArrays.from_records(timeline.records).player(player)
+    won = side.won.astype(float)
+    serving = side.serving.astype(float)
+    first_serve = side.first_serve.astype(float)
+    dist = np.nan_to_num(side.distance, nan=0.0)
+    running = dict(zip(EVENT_FLAGS, np.cumsum(side.events, axis=1)))
 
     wins_cum = np.cumsum(won)
-    win_time_cum = np.cumsum(durations * won)
+    win_time_cum = np.cumsum(side.durations * won)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_win_time = np.where(wins_cum > 0, win_time_cum / np.maximum(wins_cum, 1), 0.0)
 
@@ -333,21 +301,21 @@ def extra_feature_columns(
     first_rate = np.where(serve_total > 0, fs_won / safe, 0.0)
     second_rate = np.where(serve_total > 0, ss_won / safe, 0.0)
 
-    t = np.arange(1, n + 1, dtype=float)
+    t = np.arange(1, won.size + 1, dtype=float)
     return {
         "mean_win_time": mean_win_time,
-        "total_score": np.cumsum(scores),
+        "total_score": np.cumsum(side.score),
         "first_serve_points": fs_won,
         "second_serve_points": ss_won,
         "first_serve_rate": first_rate,
         "second_serve_rate": second_rate,
-        "aces": np.cumsum(flag("ace")),
+        "aces": running["ace"],
         "mean_distance": np.cumsum(dist) / t,
         "points_won": wins_cum,
-        "untouchable_shots": np.cumsum(flag("untouchable_winner")),
-        "double_fault_losses": np.cumsum(flag("double_fault")),
-        "unforced_errors": np.cumsum(flag("unforced_error")),
-        "net_approaches": np.cumsum(flag("net_approach")),
-        "net_points_won": np.cumsum(flag("net_point_won")),
+        "untouchable_shots": running["untouchable_winner"],
+        "double_fault_losses": running["double_fault"],
+        "unforced_errors": running["unforced_error"],
+        "net_approaches": running["net_approach"],
+        "net_points_won": running["net_point_won"],
         "total_distance": np.cumsum(dist),
     }

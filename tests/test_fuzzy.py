@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -78,7 +79,6 @@ def test_entropy_weights_scale_invariant(scale, column):
 def test_membership_low_extreme():
     mv = evaluate_membership(0.02)
     assert mv.grades == approx(tuple(e(0)))
-    assert not mv.fallback
 
 
 def test_membership_high_plateau():
@@ -100,23 +100,28 @@ def test_membership_out_of_range():
         evaluate_membership(1.01)
 
 
-def test_membership_top_value_falls_back_to_strongest():
-    with pytest.warns(DataQualityWarning):
+def test_membership_top_value_is_very_strong():
+    # U = 1.0 lies on the closed "Very strong" plateau: no warning, exact row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         mv = evaluate_membership(1.0)
-    assert mv.fallback
-    assert mv.grades == approx(tuple(e(6)))
+    assert mv.raw == tuple(e(6))
+    assert mv.grades == tuple(e(6))
 
 
-def test_membership_grid_covered_or_fallback():
-    fallbacks = 0
-    for u in np.linspace(0.0, 1.0, 10001):
-        mv = evaluate_membership(float(u), warn_on_fallback=False)
+# every end of a membership segment, as printed in the method's definition
+BREAKPOINTS = (0.0, 0.05, 0.06, 0.065, 0.16, 0.25, 0.3, 0.35, 0.4, 0.5, 0.52,
+               0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.84, 0.9, 1.0)
+
+
+def test_membership_grid_and_breakpoints_covered():
+    neighbours = [np.nextafter(b, d) for b in BREAKPOINTS for d in (0.0, 1.0)]
+    inputs = np.concatenate([np.linspace(0.0, 1.0, 10001), BREAKPOINTS, neighbours])
+    for u in inputs:
+        mv = evaluate_membership(float(u))
         assert min(mv.raw) >= 0.0
-        assert sum(mv.raw) > 0.0  # after fallback substitution
+        assert sum(mv.raw) > 0.0
         assert sum(mv.grades) == approx(1.0)
-        fallbacks += mv.fallback
-    # the printed branches cover everything except the top endpoint
-    assert fallbacks == 1
 
 
 # --- composition ----------------------------------------------------------
@@ -291,6 +296,15 @@ def test_series_symmetric_under_player_swap():
     direct = momentum_series(tl, 1, window=15)
     mirrored = momentum_series(swap_players(tl), 2, window=15)
     assert [p.score for p in direct] == approx([p.score for p in mirrored])
+
+
+def test_series_on_sample_matches_warns_nothing(timelines):
+    # top-of-range inputs (U = 1.0) occur in every match and grade silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DataQualityWarning)
+        for tl in timelines:
+            for player in (1, 2):
+                assert momentum_series(tl, player, window=20)
 
 
 def test_hierarchy_validation():

@@ -89,8 +89,6 @@ def test_win_time_stability_telescopes():
     # win durations: 40, 100, 40 -> sum of diffs = 0, over n=3
     assert vec.x2 == approx(60.0)
     assert vec.x3 == approx(0.0)
-    var = indicator_vector(records, player=1, x3_variance=True)
-    assert var.x3 == approx(np.var([40.0, 100.0, 40.0]))
 
 
 def test_player_without_serve_points_gets_zero_rates():

@@ -86,6 +86,20 @@ def test_load_sorts_out_of_order_rows(tmp_path):
     assert [r.point_no for r in timeline.records] == [1, 2]
 
 
+def test_load_duplicate_point_key_names_both_rows(tmp_path):
+    records = [
+        make_record(point_no=1),
+        make_record(point_no=2, elapsed_seconds=80),
+        make_record(match_id="m2"),
+        make_record(point_no=2, elapsed_seconds=120),
+    ]
+    path = tmp_path / "duplicate.csv"
+    _write_csv(path, records)
+    with pytest.raises(RowParseError, match=r"row 4: .*\(1, 1, 2\).*rows 2 and 4") as info:
+        load_matches(path)
+    assert info.value.row_number == 4
+
+
 def test_load_groups_by_match_id(tmp_path):
     records = [
         make_record(match_id="2023-wimbledon-1304"),
