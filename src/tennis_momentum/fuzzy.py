@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DataQualityWarning, DegenerateRangeError
 from .indicators import INDICATOR_NAMES, normalize_minmax, positivize, segment_indicators
-from .ingest import MatchArrays, MatchTimeline
+from .ingest import MatchTimeline
 
 COMMENT_GRADES = (
     "Very weak", "Weak", "Weaker", "Moderate", "Stronger", "Strong", "Very strong",
@@ -206,7 +206,7 @@ def momentum_score(b: Sequence[float]) -> float:
 def _window_indicator_matrix(
     timeline: MatchTimeline, player: int, window: int, hierarchy: FuzzyHierarchy
 ) -> np.ndarray:
-    side = MatchArrays.from_records(timeline.records).player(player)
+    side = timeline.arrays.player(player)
     columns = [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]
     with warnings.catch_warnings():
         # Degenerate windows (no points won, etc.) are routine here.

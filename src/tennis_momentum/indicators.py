@@ -163,15 +163,14 @@ def compute_indicators(
     timeline: MatchTimeline, player: int, segmentation: str = "set"
 ) -> list[IndicatorVector]:
     """One IndicatorVector per segment (``"set"`` or ``"game"``)."""
-    arrays = MatchArrays.from_records(timeline.records)
-    side = arrays.player(player)
-    _, segments = _segments(arrays, segmentation)
+    side = timeline.arrays.player(player)
+    _, segments = _segments(timeline.arrays, segmentation)
     return [IndicatorVector(*segment_indicators(side, rows)) for rows in segments]
 
 
 def segment_labels(timeline: MatchTimeline, segmentation: str = "set") -> list[str]:
     """Segment names aligned with ``compute_indicators`` output."""
-    keys, _ = _segments(MatchArrays.from_records(timeline.records), segmentation)
+    keys, _ = _segments(timeline.arrays, segmentation)
     if segmentation == "set":
         return [f"set{k[0]}" for k in keys]
     return [f"set{k[0]}-game{k[1]}" for k in keys]

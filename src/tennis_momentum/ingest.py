@@ -13,6 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DataQualityWarning,
     EmptyInputError,
     ImputationError,
@@ -33,7 +35,7 @@ SCORE_POINTS = {"0": 0, "15": 15, "30": 30, "40": 40, "AD": 55, "55": 55}
 VALID_SCORE_VALUES = frozenset({0, 15, 30, 40, 55})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointRecord:
     """One scored point of a match.
 
@@ -102,17 +104,17 @@ class MatchTimeline:
     def __len__(self):
         return len(self.records)
 
+    @cached_property
+    def arrays(self) -> MatchArrays:
+        """The numeric columns of ``records``, extracted on first use."""
+        return MatchArrays.from_records(self.records)
+
 
 # Per-player event flags, as field suffixes after "p1_" / "p2_".
 EVENT_FLAGS = (
     "ace", "untouchable_winner", "double_fault", "unforced_error",
     "net_approach", "net_point_won", "break_point_missed",
 )
-_PER_PLAYER = ("sets", "score", "points_won", "distance_run") + EVENT_FLAGS
-_ARRAY_FIELDS = (
-    "point_victor", "elapsed_seconds", "set_no", "game_no", "server", "serve_no",
-) + tuple(f"p{p}_{name}" for p in (1, 2) for name in _PER_PLAYER)
-_get_array_fields = attrgetter(*_ARRAY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,8 @@ class MatchArrays:
     Absent event flags read as 0; absent distances, servers and serve
     numbers as NaN. Durations come from the sequence's own cumulative clock
     (the first point counts from 0; a clock running backwards gives 0).
+    The arrays are read-only: one instance is shared by every reader of a
+    ``MatchTimeline``.
     """
 
     victor: np.ndarray       # 1 or 2
@@ -161,25 +165,34 @@ class MatchArrays:
     def from_records(cls, records: Sequence[PointRecord]) -> MatchArrays:
         if not records:
             raise EmptyInputError("MatchArrays needs at least one record")
-        # one row per field of _ARRAY_FIELDS; None becomes NaN
-        table = np.array(list(map(_get_array_fields, records)), dtype=float)
-        table = np.ascontiguousarray(table.T)
-        victor, elapsed, set_no, game_no, server, serve_no = table[:6]
-        per_player = table[6:].reshape(2, len(_PER_PLAYER), -1)
-        return cls(
-            victor=victor,
+
+        column = partial(_column, records)
+
+        def both(name):
+            return np.array([column(f"p1_{name}"), column(f"p2_{name}")])
+
+        elapsed = column("elapsed_seconds")
+        server = column("server")
+        serve_no = column("serve_no")
+        arrays = cls(
+            victor=column("point_victor"),
             durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
-            set_no=set_no.astype(int),
-            game_no=game_no.astype(int),
+            set_no=column("set_no").astype(int),
+            game_no=column("game_no").astype(int),
             server=server,
             serve_no=serve_no,
             serve_known=~(np.isnan(server) | np.isnan(serve_no)),
-            sets=per_player[:, 0],
-            score=per_player[:, 1],
-            points_won=per_player[:, 2],
-            distance=per_player[:, 3],
-            events=np.nan_to_num(per_player[:, 4:], nan=0.0),
+            sets=both("sets"),
+            score=both("score"),
+            points_won=both("points_won"),
+            distance=both("distance_run"),
+            events=np.nan_to_num(
+                np.stack([both(flag) for flag in EVENT_FLAGS], axis=1), nan=0.0
+            ),
         )
+        for array in vars(arrays).values():
+            array.flags.writeable = False
+        return arrays
 
     def player(self, p: int) -> PlayerColumns:
         if p not in (1, 2):
@@ -229,7 +242,7 @@ class BoxplotReport:
     skipped: tuple[str, ...]
 
 
-# (csv column, record field, parser kind); order defines the canonical schema.
+# (csv column, record field, kind); order defines the canonical schema.
 _COLUMN_SPEC = [
     ("match_id", "match_id", "str"),
     ("player1", "player1", "str"),
@@ -244,9 +257,9 @@ _COLUMN_SPEC = [
     ("p2_games", "p2_games", "nonnegint"),
     ("p1_score", "p1_score", "score"),
     ("p2_score", "p2_score", "score"),
-    ("server", "server", "opt_player"),
-    ("serve_no", "serve_no", "opt_int"),
-    ("point_victor", "point_victor", "player"),
+    ("server", "server", "opt_one_or_two"),
+    ("serve_no", "serve_no", "opt_one_or_two"),
+    ("point_victor", "point_victor", "one_or_two"),
     ("p1_points_won", "p1_points_won", "nonnegint"),
     ("p2_points_won", "p2_points_won", "nonnegint"),
     ("p1_ace", "p1_ace", "flag"),
@@ -273,33 +286,27 @@ _COLUMN_SPEC = [
 
 CSV_COLUMNS = tuple(c for c, _, _ in _COLUMN_SPEC)
 _FIELD_FOR_COLUMN = {c: f for c, f, _ in _COLUMN_SPEC}
-_KIND_FOR_COLUMN = {c: k for c, _, k in _COLUMN_SPEC}
+_get_csv_fields = attrgetter(*_FIELD_FOR_COLUMN.values())
 
-_OPTIONAL_KINDS = {"opt_player", "opt_int", "opt_float", "opt_str", "flag"}
+_OPTIONAL_KINDS = {"opt_one_or_two", "opt_float", "opt_str", "flag"}
 REQUIRED_COLUMNS = tuple(
     c for c, _, k in _COLUMN_SPEC if k not in _OPTIONAL_KINDS
 )
 OPTIONAL_COLUMNS = tuple(c for c, _, k in _COLUMN_SPEC if k in _OPTIONAL_KINDS)
 
+_TEXT_FIELDS = frozenset(f for _, f, k in _COLUMN_SPEC if k in {"str", "opt_str"})
 # Numeric fields usable in the imputation distance, in schema order.
-_NUMERIC_FIELDS = [
-    f
-    for c, f, k in _COLUMN_SPEC
-    if k in {"elapsed", "posint", "nonnegint", "score", "player",
-             "opt_player", "opt_int", "opt_float", "flag"}
-]
+_NUMERIC_FIELDS = [f for _, f, _ in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
 
 # Continuous measurement columns summarised by the default box-plot audit.
 BOXPLOT_COLUMNS = ("speed_mph", "p1_distance_run", "p2_distance_run")
 
 
-def parse_score_token(token: str, row_number: int | None = None) -> int:
+def parse_score_token(token: str) -> int:
     """Map a score token (``0/15/30/40/AD``) to integer points, AD -> 55."""
     key = token.strip()
     if key not in SCORE_POINTS:
-        if row_number is not None:
-            raise RowParseError(row_number, f"unknown score token {token!r}")
         raise ValueError(f"unknown score token {token!r}")
     return SCORE_POINTS[key]
 
@@ -321,58 +328,48 @@ def format_elapsed(seconds: int) -> str:
     return f"{h}:{m:02d}:{s:02d}"
 
 
-def _parse_cell(kind: str, raw: str, row_number: int):
-    value = raw.strip() if raw is not None else ""
-    if kind == "str":
-        if not value:
-            raise RowParseError(row_number, "empty required text field")
-        return value
-    if kind in {"opt_str", "opt_player", "opt_int", "opt_float", "flag"} and not value:
-        return None
-    if kind == "opt_str":
-        return value
-    try:
-        if kind == "elapsed":
-            return parse_elapsed(value)
-        if kind == "posint":
-            n = int(value)
-            if n <= 0:
-                raise ValueError("must be positive")
-            return n
-        if kind == "nonnegint":
-            n = int(value)
-            if n < 0:
-                raise ValueError("must be non-negative")
-            return n
-        if kind == "score":
-            return parse_score_token(value, row_number)
-        if kind == "player":
-            n = int(value)
-            if n not in (1, 2):
-                raise ValueError("must be 1 or 2")
-            return n
-        if kind == "opt_player":
-            n = int(value)
-            if n not in (1, 2):
-                raise ValueError("must be 1 or 2")
-            return n
-        if kind == "opt_int":
-            return int(value)
-        if kind == "opt_float":
-            x = float(value)
-            if not math.isfinite(x) or x < 0:
-                raise ValueError("must be a non-negative finite number")
-            return x
-        if kind == "flag":
-            n = int(value)
-            if n not in (0, 1):
-                raise ValueError("must be 0 or 1")
-            return n
-    except RowParseError:
-        raise
-    except ValueError as exc:
-        raise RowParseError(row_number, f"bad value {raw!r}: {exc}") from exc
-    raise AssertionError(f"unhandled kind {kind}")
+def _text(cell: str) -> str:
+    if not cell:
+        raise ValueError("empty required text field")
+    return cell
+
+
+def _int_where(allowed, rule: str):
+    def parse(cell: str) -> int:
+        n = int(cell)
+        if not allowed(n):
+            raise ValueError(rule)
+        return n
+
+    return parse
+
+
+def _nonnegative_float(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x) or x < 0:
+        raise ValueError("must be a non-negative finite number")
+    return x
+
+
+def _optional(parse):
+    return lambda cell: parse(cell) if cell else None
+
+
+_one_or_two = _int_where(lambda n: n in (1, 2), "must be 1 or 2")
+
+# One parser per kind; each takes a stripped cell and raises ValueError.
+_PARSERS = {
+    "str": _text,
+    "opt_str": lambda cell: cell or None,
+    "elapsed": parse_elapsed,
+    "posint": _int_where(lambda n: n > 0, "must be positive"),
+    "nonnegint": _int_where(lambda n: n >= 0, "must be non-negative"),
+    "score": parse_score_token,
+    "one_or_two": _one_or_two,
+    "opt_one_or_two": _optional(_one_or_two),
+    "opt_float": _optional(_nonnegative_float),
+    "flag": _optional(_int_where(lambda n: n in (0, 1), "must be 0 or 1")),
+}
 
 
 def load_matches(path: str | Path) -> list[MatchTimeline]:
@@ -382,33 +379,50 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
     a match are rejected. Timelines come back sorted by match id.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(REQUIRED_COLUMNS)
-        present = set(reader.fieldnames)
-        missing = [c for c in REQUIRED_COLUMNS if c not in present]
-        if missing:
-            raise SchemaError(missing)
-        unknown = [c for c in reader.fieldnames if c not in _FIELD_FOR_COLUMN]
-        if unknown:
-            warnings.warn(
-                f"ignoring unrecognised columns: {', '.join(unknown)}",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-        by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
-        for row_number, row in enumerate(reader, start=1):
-            kwargs = {}
-            for column, field in _FIELD_FOR_COLUMN.items():
-                if column not in present:
-                    continue
-                kwargs[field] = _parse_cell(
-                    _KIND_FOR_COLUMN[column], row.get(column) or "", row_number
+    by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(missing)
+            unknown = [c for c in header if c not in _FIELD_FOR_COLUMN]
+            if unknown:
+                warnings.warn(
+                    f"ignoring unrecognised columns: {', '.join(unknown)}",
+                    DataQualityWarning,
+                    stacklevel=2,
                 )
-            r = PointRecord(**kwargs)
-            key = (r.set_no, r.game_no, r.point_no)
-            by_match.setdefault(r.match_id, []).append((key, row_number, r))
+            # a repeated column reads its last occurrence
+            position = {c: i for i, c in enumerate(header)}
+            plan = [
+                (field, position[c], _PARSERS[kind])
+                for c, field, kind in _COLUMN_SPEC
+                if c in position
+            ]
+            # blank lines are skipped and not counted
+            for row_number, row in enumerate(filter(None, reader), start=1):
+                if len(row) < len(header):  # missing trailing cells read as empty
+                    row += [""] * (len(header) - len(row))
+                values = {}
+                try:
+                    for field, index, parse in plan:
+                        cell = row[index].strip()
+                        values[field] = parse(cell)
+                except ValueError as exc:
+                    raise RowParseError(
+                        row_number, f"bad {field} value {cell!r}: {exc}"
+                    ) from exc
+                r = PointRecord(**values)
+                key = (r.set_no, r.game_no, r.point_no)
+                by_match.setdefault(r.match_id, []).append((key, row_number, r))
+    except UnicodeDecodeError as exc:
+        # no row number: the file is decoded in chunks ahead of the parser
+        raise DataError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+            f"({exc.reason})"
+        ) from exc
 
     if not by_match:
         raise EmptyInputError(f"{path} contains no data rows")
@@ -428,16 +442,6 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
     return timelines
 
 
-def _format_cell(kind: str, value) -> str:
-    if value is None:
-        return ""
-    if kind == "elapsed":
-        return format_elapsed(value)
-    if kind == "opt_float":
-        return repr(float(value))
-    return str(value)
-
-
 def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
     """Render records as CSV text in the canonical column order.
 
@@ -445,18 +449,17 @@ def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> s
     token instead of their numeric value 55 (useful for building fixtures
     that exercise the token conversion).
     """
+    formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
+    if ad_token:
+        formatters["score"] = lambda n: "AD" if n == 55 else str(n)
+    formats = [formatters.get(kind, str) for _, _, kind in _COLUMN_SPEC]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        cells = []
-        for column, kind in _KIND_FOR_COLUMN.items():
-            value = getattr(r, _FIELD_FOR_COLUMN[column])
-            if ad_token and kind == "score" and value == 55:
-                cells.append("AD")
-            else:
-                cells.append(_format_cell(kind, value))
-        writer.writerow(cells)
+    writer.writerows(
+        ["" if v is None else fmt(v) for fmt, v in zip(formats, _get_csv_fields(r))]
+        for r in records
+    )
     return buf.getvalue()
 
 
@@ -472,27 +475,25 @@ def flatten_timelines(timelines: Iterable[MatchTimeline]) -> list[PointRecord]:
     return out
 
 
+def _column(records: Sequence[PointRecord], field: str) -> np.ndarray:
+    """``field`` of every record as floats, None as NaN; text reads as 0."""
+    values = map(attrgetter(field), records)
+    if field in _TEXT_FIELDS:
+        values = (None if v is None else 0.0 for v in values)
+    return np.array(list(values), dtype=float)
+
+
 def missing_rate(records: Sequence[PointRecord]) -> MissingReport:
     """Fraction of records with an absent value, per optional column."""
     if not records:
         raise EmptyInputError("missing_rate needs at least one record")
     n = len(records)
-    rates = {}
-    for column in OPTIONAL_COLUMNS:
-        field = _FIELD_FOR_COLUMN[column]
-        absent = sum(1 for r in records if getattr(r, field) is None)
-        rates[column] = absent / n
+    # int(): a NumPy scalar rate would be written as "np.float64(...)"
+    rates = {
+        column: int(np.isnan(_column(records, field)).sum()) / n
+        for column, field in zip(OPTIONAL_COLUMNS, _OPTIONAL_FIELDS)
+    }
     return MissingReport(rates)
-
-
-def _numeric_matrix(records: Sequence[PointRecord]) -> np.ndarray:
-    mat = np.full((len(records), len(_NUMERIC_FIELDS)), np.nan)
-    for i, r in enumerate(records):
-        for j, field in enumerate(_NUMERIC_FIELDS):
-            v = getattr(r, field)
-            if v is not None:
-                mat[i, j] = float(v)
-    return mat
 
 
 def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
@@ -506,11 +507,8 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     if not records:
         raise EmptyInputError("impute_missing needs at least one record")
 
-    fillable = [
-        f
-        for f in _OPTIONAL_FIELDS
-        if any(getattr(r, f) is not None for r in records)
-    ]
+    absent = {f: np.isnan(_column(records, f)) for f in _OPTIONAL_FIELDS}
+    fillable = [f for f in _OPTIONAL_FIELDS if not absent[f].all()]
     dead_columns = [f for f in _OPTIONAL_FIELDS if f not in fillable]
     if dead_columns:
         warnings.warn(
@@ -520,17 +518,17 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
             stacklevel=2,
         )
 
-    def is_complete(r: PointRecord) -> bool:
-        return all(getattr(r, f) is not None for f in fillable)
-
-    donor_indices = [i for i, r in enumerate(records) if is_complete(r)]
-    incomplete = [i for i, r in enumerate(records) if not is_complete(r)]
-    if not incomplete:
+    gaps = np.zeros(len(records), dtype=bool)
+    for f in fillable:
+        gaps |= absent[f]
+    donor_indices = np.flatnonzero(~gaps)
+    incomplete = np.flatnonzero(gaps)
+    if not incomplete.size:
         return list(records)
-    if not donor_indices:
+    if not donor_indices.size:
         raise ImputationError("no record has all fields populated")
 
-    matrix = _numeric_matrix(records)
+    matrix = np.column_stack([_column(records, f) for f in _NUMERIC_FIELDS])
     donors = matrix[donor_indices]
 
     out = list(records)
@@ -540,11 +538,7 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
         diffs = donors[:, mask] - row[mask]
         dist2 = np.einsum("ij,ij->i", diffs, diffs)
         donor = records[donor_indices[int(np.argmin(dist2))]]
-        fixes = {
-            f: getattr(donor, f)
-            for f in fillable
-            if getattr(records[i], f) is None
-        }
+        fixes = {f: getattr(donor, f) for f in fillable if absent[f][i]}
         out[i] = replace(records[i], **fixes)
     return out
 
@@ -563,10 +557,8 @@ def outlier_report(
     stats: dict[str, BoxplotStats] = {}
     skipped: list[str] = []
     for column in columns:
-        field = _FIELD_FOR_COLUMN.get(column, column)
-        values = np.array(
-            [float(getattr(r, field)) for r in records if getattr(r, field) is not None]
-        )
+        values = _column(records, _FIELD_FOR_COLUMN.get(column, column))
+        values = values[~np.isnan(values)]
         if values.size < 4:
             skipped.append(column)
             warnings.warn(

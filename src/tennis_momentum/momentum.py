@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataQualityWarning, EmptyInputError, UndefinedCorrelationError
-from .ingest import EVENT_FLAGS, MatchArrays, MatchTimeline
+from .ingest import EVENT_FLAGS, MatchTimeline
 
 FEATURE_NAMES = ("S1", "S2", "S3", "S4")
 SAMPLE_COLUMNS = FEATURE_NAMES + ("omega",)
@@ -94,7 +94,7 @@ def extract_momentum_samples(
     stand-in) is omitted; that is the recommended setting for training and
     correlation work.
     """
-    side = MatchArrays.from_records(timeline.records).player(player)
+    side = timeline.arrays.player(player)
     won = side.won
     positions = np.arange(won.size)
     last_loss = np.maximum.accumulate(np.where(won, -1, positions))
@@ -282,7 +282,7 @@ def extra_feature_columns(
     Every column has one value per point, computed over the match history up
     to and including that point. Flags absent from the file count as zero.
     """
-    side = MatchArrays.from_records(timeline.records).player(player)
+    side = timeline.arrays.player(player)
     won = side.won.astype(float)
     serving = side.serving.astype(float)
     first_serve = side.first_serve.astype(float)

@@ -89,6 +89,18 @@ def test_missing_file_is_data_error(tmp_path):
                "--out", tmp_path / "out") == 2
 
 
+def test_undecodable_file_is_data_error(tmp_path, capsys):
+    records = make_timeline([1, 2, 1, 2]).records
+    src = tmp_path / "latin1.csv"
+    text = points_csv_text(records).replace(",A,", ",Jos\u00e9,", 1)
+    src.write_bytes(text.encode("latin-1"))
+    assert run("clean", "--data", src, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(src) in err and "0xe9" in err
+    # the decoder reads ahead of the parser, so no row can be named
+    assert "row" not in err.replace(str(src), "")
+
+
 def test_predict_threshold_zero_accuracy_equals_base_rate(tmp_path):
     victors = [1, 2, 1, 1, 2, 1, 2, 2, 1, 1] * 4
     src = tmp_path / "m.csv"

@@ -1,4 +1,8 @@
+import warnings
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from tennis_momentum import (
@@ -15,6 +19,7 @@ from tennis_momentum import (
 )
 from tennis_momentum.ingest import (
     CSV_COLUMNS,
+    PointRecord,
     flatten_timelines,
     format_elapsed,
     parse_elapsed,
@@ -41,11 +46,17 @@ def test_score_token_accepts_cleaned_form():
     assert parse_score_token("55") == 55
 
 
-def test_score_token_unknown_raises_with_row():
-    with pytest.raises(RowParseError, match="row 17.*'7'"):
-        parse_score_token("7", row_number=17)
+def test_score_token_unknown_raises_with_row(tmp_path):
     with pytest.raises(ValueError, match="'7'"):
         parse_score_token("7")
+    lines = points_csv_text([make_record(), make_record(point_no=2)]).splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index("p2_score")] = "7"
+    path = tmp_path / "token.csv"
+    path.write_text("\n".join([lines[0], lines[1], ",".join(cells)]))
+    with pytest.raises(RowParseError, match="row 2: .*p2_score.*'7'") as info:
+        load_matches(path)
+    assert info.value.row_number == 2
 
 
 def test_elapsed_parsing_roundtrip():
@@ -57,6 +68,10 @@ def test_elapsed_parsing_roundtrip():
 
 
 # --- loading --------------------------------------------------------------
+
+def _csv_lines(records):
+    return points_csv_text(records).splitlines()
+
 
 def _write_csv(path, records, ad_token=False):
     path.write_text(points_csv_text(records, ad_token=ad_token), newline="")
@@ -140,6 +155,17 @@ def test_load_malformed_row_reports_number(tmp_path):
         load_matches(path)
 
 
+@pytest.mark.parametrize("serve_no", ["0", "3"])
+def test_load_rejects_serve_no_outside_one_or_two(tmp_path, serve_no):
+    lines = _csv_lines([make_record(), make_record(point_no=2, elapsed_seconds=80)])
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index("serve_no")] = serve_no
+    path = tmp_path / "serve_no.csv"
+    path.write_text("\n".join([lines[0], lines[1], ",".join(cells)]))
+    with pytest.raises(RowParseError, match=f"row 2: .*serve_no.*'{serve_no}'"):
+        load_matches(path)
+
+
 def test_load_parses_ad_tokens(tmp_path):
     records = [make_record(p1_score=55, p2_score=40)]
     path = tmp_path / "ad.csv"
@@ -164,6 +190,140 @@ def test_roundtrip_is_fixed_point(tmp_path):
     third = tmp_path / "third.csv"
     write_points_csv(flatten_timelines(reloaded), third)
     assert second.read_text() == third.read_text()
+
+
+def test_load_skips_blank_lines_without_counting_them(tmp_path):
+    lines = _csv_lines([make_record(), make_record(point_no=2, elapsed_seconds=80)])
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join([lines[0], "", lines[1], "", "", lines[2], ""]) + "\n")
+    (timeline,) = load_matches(path)
+    assert [r.point_no for r in timeline.records] == [1, 2]
+
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index("point_victor")] = "9"
+    path.write_text("\n".join([lines[0], lines[1], "", ",".join(cells)]) + "\n")
+    with pytest.raises(RowParseError, match="row 2: .*'9'"):
+        load_matches(path)
+
+
+def test_load_short_row_reads_missing_cells_as_empty(tmp_path):
+    lines = _csv_lines([make_record()])
+    keep = CSV_COLUMNS.index("speed_mph")
+    path = tmp_path / "short.csv"
+    path.write_text(lines[0] + "\n" + ",".join(lines[1].split(",")[:keep]) + "\n")
+    (timeline,) = load_matches(path)
+    (record,) = timeline.records
+    assert record.speed_mph is None
+    assert record.serve_width is record.serve_depth is record.return_depth is None
+    assert record.p2_distance_run == 10.0
+
+
+def test_load_strips_cells(tmp_path):
+    lines = _csv_lines([make_record(match_id="m1", serve_width="W")])
+    path = tmp_path / "padded.csv"
+    path.write_text(
+        lines[0] + "\n" + ",".join(f" {cell} " for cell in lines[1].split(",")) + "\n"
+    )
+    (timeline,) = load_matches(path)
+    assert timeline.match_id == "m1"
+    assert timeline.records == (make_record(match_id="m1", serve_width="W"),)
+
+
+def test_load_repeated_column_reads_last_occurrence_only(tmp_path):
+    lines = _csv_lines([make_record(speed_mph=120.5)])
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"speed_mph,{lines[0]}\nnot-a-number,{lines[1]}\n")
+    (timeline,) = load_matches(path)
+    assert timeline.records[0].speed_mph == 120.5
+
+
+def test_load_unknown_columns_warn_once_naming_them(tmp_path):
+    lines = _csv_lines([make_record()])
+    path = tmp_path / "unknown.csv"
+    path.write_text(f"{lines[0]},foo,bar\n{lines[1]},1,2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (timeline,) = load_matches(path)
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, DataQualityWarning)
+    assert "foo" in str(caught[0].message) and "bar" in str(caught[0].message)
+    assert timeline.records == (make_record(),)
+
+
+def test_load_header_only_is_empty_input(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text(_csv_lines([make_record()])[0] + "\n")
+    with pytest.raises(EmptyInputError):
+        load_matches(path)
+
+
+def test_load_zero_byte_file_is_schema_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(SchemaError):
+        load_matches(path)
+
+
+# --- round trip -----------------------------------------------------------
+
+_TEXT = st.text(alphabet="abcXYZ09 ,\"'-", min_size=1, max_size=6).filter(
+    lambda s: s == s.strip()
+)
+_FLAG = st.none() | st.sampled_from([0, 1])
+_DISTANCE = st.none() | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_records = st.builds(
+    PointRecord,
+    match_id=st.sampled_from(["m1", "m2", "2023-wimbledon-1304"]),
+    player1=_TEXT,
+    player2=_TEXT,
+    elapsed_seconds=st.integers(0, 10**6),
+    set_no=st.integers(1, 5),
+    game_no=st.integers(1, 13),
+    point_no=st.integers(1, 30),
+    p1_sets=st.integers(0, 3),
+    p2_sets=st.integers(0, 3),
+    p1_games=st.integers(0, 7),
+    p2_games=st.integers(0, 7),
+    p1_score=st.sampled_from([0, 15, 30, 40, 55]),
+    p2_score=st.sampled_from([0, 15, 30, 40, 55]),
+    point_victor=st.sampled_from([1, 2]),
+    p1_points_won=st.integers(0, 400),
+    p2_points_won=st.integers(0, 400),
+    server=st.none() | st.sampled_from([1, 2]),
+    serve_no=st.none() | st.sampled_from([1, 2]),
+    **{
+        f"p{p}_{flag}": _FLAG
+        for p in (1, 2)
+        for flag in ("ace", "untouchable_winner", "double_fault", "unforced_error",
+                     "net_approach", "net_point_won", "break_point_missed")
+    },
+    p1_distance_run=_DISTANCE,
+    p2_distance_run=_DISTANCE,
+    speed_mph=_DISTANCE,
+    serve_width=st.none() | _TEXT,
+    serve_depth=st.none() | _TEXT,
+    return_depth=st.none() | _TEXT,
+)
+
+
+def _point_key(r):
+    return r.match_id, r.set_no, r.game_no, r.point_no
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    records=st.lists(
+        _records, min_size=1, max_size=12,
+        unique_by=_point_key,
+    ),
+    ad_token=st.booleans(),
+)
+def test_load_inverts_points_csv_text(tmp_path, records, ad_token):
+    path = tmp_path / "roundtrip.csv"
+    _write_csv(path, records, ad_token=ad_token)
+    expected = sorted(records, key=_point_key)
+    assert flatten_timelines(load_matches(path)) == expected
 
 
 # --- missing rates --------------------------------------------------------
