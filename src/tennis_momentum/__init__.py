@@ -6,6 +6,7 @@ from .errors import (
     DegenerateRangeError,
     EmptyInputError,
     ImputationError,
+    InsufficientDataError,
     RowParseError,
     SchemaError,
     UndefinedCorrelationError,

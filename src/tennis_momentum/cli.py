@@ -555,12 +555,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = resolve_config(args)
         paths = _COMMANDS[args.command](config)
-    except (UsageError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # before ValueError: some data errors are also ValueErrors
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

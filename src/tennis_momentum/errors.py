@@ -29,6 +29,11 @@ class ImputationError(DataError):
     """No fully populated record exists to act as an imputation donor."""
 
 
+class InsufficientDataError(DataError, ValueError):
+    """The input is too short for the requested analysis (a window longer
+    than the match, fewer samples than folds); also a ``ValueError``."""
+
+
 class DegenerateRangeError(ValueError):
     """All values identical where a spread is required (max == min)."""
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataQualityWarning, DegenerateRangeError
+from .errors import DataQualityWarning, DegenerateRangeError, InsufficientDataError
 from .indicators import INDICATOR_NAMES, normalize_minmax, positivize, segment_indicators
 from .ingest import MatchTimeline
 
@@ -238,7 +238,8 @@ def momentum_series(
         hierarchy = FuzzyHierarchy()
     n = len(timeline.records)
     if not 1 <= window <= n:
-        raise ValueError(f"window must be in [1, {n}], got {window}")
+        error = ValueError if window < 1 else InsufficientDataError
+        raise error(f"window must be in [1, {n}], got {window}")
 
     matrix = _window_indicator_matrix(timeline, player, window, hierarchy)
     names = hierarchy.indicator_names

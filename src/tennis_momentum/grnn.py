@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, UndefinedCorrelationError
+from .errors import DataError, InsufficientDataError, UndefinedCorrelationError
 from .momentum import pearson
 
 DEFAULT_SIGMA_GRID = tuple(float(s) for s in np.geomspace(0.01, 2.0, 40))
@@ -165,7 +165,7 @@ def train_cv(x: np.ndarray, y: np.ndarray, config: CvConfig) -> GrnnModel:
         raise DataError("training data contains non-finite values")
     n = x.shape[0]
     if n < config.folds:
-        raise ValueError(f"need at least {config.folds} samples, got {n}")
+        raise InsufficientDataError(f"need at least {config.folds} samples, got {n}")
 
     ranges = tuple(
         (float(x[:, j].min()), float(x[:, j].max())) for j in range(x.shape[1])

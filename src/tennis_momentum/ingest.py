@@ -32,7 +32,6 @@ from .errors import (
 # "AD" (advantage) is folded onto the numeric scale as 55. The cleaned CSV
 # stores the numeric form, so "55" must parse back for round-trip stability.
 SCORE_POINTS = {"0": 0, "15": 15, "30": 30, "40": 40, "AD": 55, "55": 55}
-VALID_SCORE_VALUES = frozenset({0, 15, 30, 40, 55})
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,10 +379,12 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
     """
     path = Path(path)
     by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
+    row_number = None  # until the header is read
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
+            row_number = 0
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise SchemaError(missing)
@@ -417,6 +418,11 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
                 r = PointRecord(**values)
                 key = (r.set_no, r.game_no, r.point_no)
                 by_match.setdefault(r.match_id, []).append((key, row_number, r))
+    except csv.Error as exc:
+        if row_number is None:
+            raise DataError(f"{path}: malformed CSV header: {exc}") from exc
+        # raised while reading the row after the last one numbered
+        raise RowParseError(row_number + 1, f"malformed CSV: {exc}") from exc
     except UnicodeDecodeError as exc:
         # no row number: the file is decoded in chunks ahead of the parser
         raise DataError(
@@ -500,9 +506,11 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     """Fill absent fields from the nearest fully populated record.
 
     Nearness is the plain Euclidean distance over the numeric fields present
-    in both rows (raw scale, no normalisation); ties go to the earlier row
-    in file order. Categorical gaps take the donor's category. Columns that
-    are absent in every record cannot be filled and are left as-is.
+    in both rows (raw scale, no normalisation); ties go to the donor that
+    comes first in ``records`` (for ``clean``: by match id, then set, game
+    and point, not file order). Categorical gaps take the donor's category.
+    Columns that are absent in every record cannot be filled and are left
+    as-is.
     """
     if not records:
         raise EmptyInputError("impute_missing needs at least one record")
@@ -529,18 +537,71 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
         raise ImputationError("no record has all fields populated")
 
     matrix = np.column_stack([_column(records, f) for f in _NUMERIC_FIELDS])
-    donors = matrix[donor_indices]
+    # rows with the same present fields share one donor slice
+    masks, pattern = np.unique(
+        ~np.isnan(matrix[incomplete]), axis=0, return_inverse=True
+    )
+    nearest = np.empty(incomplete.size, dtype=np.intp)
+    for p, mask in enumerate(masks):
+        members = pattern == p
+        rows = incomplete[members]
+        nearest[members] = _nearest_donors(matrix, donor_indices, rows, mask)
 
     out = list(records)
-    for i in incomplete:
-        row = matrix[i]
-        mask = ~np.isnan(row)
-        diffs = donors[:, mask] - row[mask]
-        dist2 = np.einsum("ij,ij->i", diffs, diffs)
-        donor = records[donor_indices[int(np.argmin(dist2))]]
-        fixes = {f: getattr(donor, f) for f in fillable if absent[f][i]}
+    for i, d in zip(incomplete, nearest):
+        fixes = {f: getattr(records[d], f) for f in fillable if absent[f][i]}
         out[i] = replace(records[i], **fixes)
     return out
+
+
+# Rows screened per matrix product: about 2**18 scores (2 MB) per block.
+_SCREEN_SCORES = 1 << 18
+
+
+def _nearest_donors(
+    matrix: np.ndarray, donors: np.ndarray, rows: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """For each of ``rows``, the first of ``donors`` nearest to it over the
+    ``mask`` columns; rows and donors are row indices into ``matrix``.
+
+    Screening scores a block of rows against every donor with one matrix
+    product, centred on the donor mean c: s = |d-c|^2 - 2(r-c).(d-c), which
+    is |d-r|^2 - |r-c|^2 up to rounding. Every donor within
+    8 (k+2) eps (|r-c|^2 + max |d-c|^2) of a row's lowest score is a
+    candidate (k masked columns, eps = 2**-52). The bound is about twice the
+    rounding error of the scores plus that of the exact distances, so the
+    donor the exact distances pick is always a candidate. A lone candidate
+    is the donor; several are measured again with the exact arithmetic
+    (differences, then squares summed left to right) and the first minimum
+    wins.
+    """
+    # a masked slice copies column-major, which the product below reads
+    # faster than a row-major copy
+    shifted = matrix[donors][:, mask]
+    centre = shifted.mean(axis=0)
+    shifted -= centre
+    norms = np.einsum("ij,ij->i", shifted, shifted)
+    targets = matrix[np.ix_(rows, mask)] - centre
+    bounds = (
+        8 * (mask.sum() + 2) * np.finfo(float).eps
+        * (np.einsum("ij,ij->i", targets, targets) + norms.max())
+    )
+    nearest = np.empty(len(rows), dtype=np.intp)
+    block = max(1, _SCREEN_SCORES // len(donors))
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        scores = targets[part] @ shifted.T
+        scores *= -2.0
+        scores += norms
+        close = scores <= scores.min(axis=1, keepdims=True) + bounds[part, None]
+        nearest[part] = close.argmax(axis=1)
+        for i in start + np.flatnonzero(close.sum(axis=1) > 1):
+            candidates = np.flatnonzero(close[i - start])
+            # a masked copy of two or more rows is column-major, so einsum
+            # sums each row's squares left to right, whatever the row count
+            diffs = matrix[donors[candidates]][:, mask] - matrix[rows[i]][mask]
+            nearest[i] = candidates[np.argmin(np.einsum("ij,ij->i", diffs, diffs))]
+    return donors[nearest]
 
 
 def outlier_report(

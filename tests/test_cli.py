@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -99,6 +100,29 @@ def test_undecodable_file_is_data_error(tmp_path, capsys):
     assert "data error" in err and str(src) in err and "0xe9" in err
     # the decoder reads ahead of the parser, so no row can be named
     assert "row" not in err.replace(str(src), "")
+
+
+def test_oversized_cell_is_data_error(tmp_path, dataset_path, capsys):
+    with dataset_path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][rows[0].index("serve_width")] = "W" * 200_000
+    src = tmp_path / "oversized.csv"
+    with src.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run("clean", "--data", src, "--out", tmp_path / "out") == 2
+    assert "data error: row 5: malformed CSV" in capsys.readouterr().err
+
+
+def test_window_longer_than_match_is_data_error(tiny_csv, tmp_path, capsys):
+    assert run("evaluate", "--data", tiny_csv, "--match", "m-a", "--window", 9,
+               "--out", tmp_path / "out") == 2
+    assert "data error: window must be in [1, 8], got 9" in capsys.readouterr().err
+
+
+def test_fewer_samples_than_folds_is_data_error(tiny_csv, tmp_path, capsys):
+    assert run("predict", "--data", tiny_csv, "--match", "m-a", "--player", 1,
+               "--folds", 6, "--out", tmp_path / "out") == 2
+    assert "data error: need at least 6 samples" in capsys.readouterr().err
 
 
 def test_predict_threshold_zero_accuracy_equals_base_rate(tmp_path):

@@ -1,11 +1,15 @@
+import csv
 import warnings
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
 from tennis_momentum import (
+    DataError,
     DataQualityWarning,
     EmptyInputError,
     ImputationError,
@@ -17,6 +21,7 @@ from tennis_momentum import (
     outlier_report,
     parse_score_token,
 )
+from tennis_momentum import ingest
 from tennis_momentum.ingest import (
     CSV_COLUMNS,
     PointRecord,
@@ -153,6 +158,33 @@ def test_load_malformed_row_reports_number(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(RowParseError, match="row 2"):
         load_matches(path)
+
+
+def _oversized(lines, index, column):
+    """Put a quoted cell longer than csv's field limit into line ``index``."""
+    cells = next(csv.reader([lines[index]]))
+    cells[column] = "W" * 200_000
+    lines[index] = ",".join(f'"{c}"' for c in cells)
+
+
+def test_load_oversized_cell_names_the_row(tmp_path):
+    lines = _csv_lines([make_record(point_no=i + 1) for i in range(4)])
+    _oversized(lines, 3, CSV_COLUMNS.index("serve_width"))
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(RowParseError, match="row 3: malformed CSV.*field limit") as info:
+        load_matches(path)
+    assert info.value.row_number == 3
+
+
+def test_load_oversized_header_cell_is_data_error(tmp_path):
+    lines = _csv_lines([make_record()])
+    _oversized(lines, 0, 0)
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataError, match="malformed CSV header") as info:
+        load_matches(path)
+    assert not isinstance(info.value, RowParseError)
 
 
 @pytest.mark.parametrize("serve_no", ["0", "3"])
@@ -403,6 +435,119 @@ def test_impute_without_complete_row_fails():
     ]
     with pytest.raises(ImputationError):
         impute_missing(records)
+
+
+# Oracle: one distance computation per incomplete row; impute_missing must
+# pick the same donors bit for bit.
+def _reference_impute(records):
+    absent = {f: np.isnan(ingest._column(records, f)) for f in ingest._OPTIONAL_FIELDS}
+    fillable = [f for f in ingest._OPTIONAL_FIELDS if not absent[f].all()]
+    gaps = np.zeros(len(records), dtype=bool)
+    for f in fillable:
+        gaps |= absent[f]
+    donor_indices = np.flatnonzero(~gaps)
+    matrix = np.column_stack([ingest._column(records, f) for f in ingest._NUMERIC_FIELDS])
+    donors = matrix[donor_indices]
+    out = list(records)
+    for i in np.flatnonzero(gaps):
+        row = matrix[i]
+        mask = ~np.isnan(row)
+        diffs = donors[:, mask] - row[mask]
+        dist2 = np.einsum("ij,ij->i", diffs, diffs)
+        donor = records[donor_indices[int(np.argmin(dist2))]]
+        fixes = {f: getattr(donor, f) for f in fillable if absent[f][i]}
+        out[i] = replace(records[i], **fixes)
+    return out
+
+
+_OPTIONAL = [f.name for f in fields(PointRecord) if f.default is None]
+_SMALL_INT = st.integers(0, 3)
+_FILLERS = {
+    "elapsed_seconds": _SMALL_INT,
+    "p1_points_won": _SMALL_INT,
+    "p2_points_won": _SMALL_INT,
+    "server": _SMALL_INT,
+    "p1_ace": _SMALL_INT,
+    "p2_unforced_error": _SMALL_INT,
+    "p1_distance_run": _SMALL_INT.map(float),
+    "speed_mph": _SMALL_INT.map(float),
+    "serve_width": st.sampled_from(["A", "B", "C"]),
+    "return_depth": st.sampled_from(["A", "B", "C"]),
+}
+
+
+@st.composite
+def _gappy_records(draw):
+    """Small-integer rows (exact donor ties are common) with shared gap
+    patterns; the first row is a donor, and some columns may be dead."""
+    patterns = draw(st.lists(
+        st.sets(st.sampled_from(_OPTIONAL), max_size=4), min_size=1, max_size=4,
+    ))
+    dead = draw(st.sets(st.sampled_from(_OPTIONAL), max_size=2))
+    records = []
+    for i in range(draw(st.integers(1, 30))):
+        gaps = dead | (draw(st.sampled_from(patterns)) if i else set())
+        values = {f: draw(v) for f, v in _FILLERS.items()}
+        records.append(make_record(**{**values, **dict.fromkeys(gaps)}))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_gappy_records())
+def test_impute_matches_per_row_reference(records):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        assert impute_missing(records) == _reference_impute(records)
+
+
+def test_impute_near_tie_at_large_clock_values():
+    # squared distances 10**6 and 10**6 + 1 around a clock of 10**7 s; the
+    # far donor moves the centre, so the screening bound spans both
+    far = make_record(elapsed_seconds=0, serve_width="far")
+    second = make_record(elapsed_seconds=10**7 + 1000, p1_points_won=2,
+                         serve_width="second")
+    nearest = make_record(elapsed_seconds=10**7 - 1000, serve_width="nearest")
+    target = make_record(elapsed_seconds=10**7, serve_width=None)
+    records = [far, second, nearest, target]
+    out = impute_missing(records)
+    assert out == _reference_impute(records)
+    assert out[3].serve_width == "nearest"
+
+
+def test_impute_keeps_the_reference_summation_order():
+    # both donors are at the same distance in exact arithmetic; summed left
+    # to right, as the reference does, the second is one ulp nearer, and
+    # summed in another order the first would win
+    first = make_record(elapsed_seconds=14122, p1_distance_run=54.55,
+                        p2_distance_run=44.01, serve_width="first")
+    second = make_record(elapsed_seconds=14122, p1_distance_run=44.01,
+                         p2_distance_run=54.55, serve_width="second")
+    target = make_record(elapsed_seconds=14125, p1_distance_run=65.64,
+                         p2_distance_run=65.64, speed_mph=None, serve_width=None)
+    records = [first, second, target]
+    out = impute_missing(records)
+    assert out == _reference_impute(records)
+    assert out[2].serve_width == "second"
+
+
+def test_impute_matches_reference_over_several_blocks():
+    # even rows are donors; odd rows miss speed, every fifth of them distance too
+    rng = np.random.default_rng(7)
+    records = [
+        make_record(
+            point_no=i + 1,
+            elapsed_seconds=int(rng.integers(0, 20_000)),
+            p1_points_won=int(rng.integers(0, 200)),
+            p2_points_won=int(rng.integers(0, 200)),
+            speed_mph=None if i % 2 else float(rng.integers(90, 140)),
+            p1_distance_run=None if i % 10 == 1 else float(rng.integers(0, 60)),
+            serve_width=str(i),
+        )
+        for i in range(2000)
+    ]
+    speed_only_rows = 800
+    assert speed_only_rows > 2 * (ingest._SCREEN_SCORES // 1000)
+    assert impute_missing(records) == _reference_impute(records)
 
 
 # --- box plots ------------------------------------------------------------
