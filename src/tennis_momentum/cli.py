@@ -393,6 +393,8 @@ def cmd_predict(config: RunConfig) -> list[Path]:
             "n_test": int(len(y) - split),
             "mse": report.mse,
             "acc": report.acc,
+            "cv_curve": [list(pair) for pair in model.cv_curve],
+            "sigma_at_grid_edge": model.sigma in (cv.sigma_grid[0], cv.sigma_grid[-1]),
         }
         jpath = outdir / f"predict-report-p{player}-{digest}.json"
         write_json(jpath, payload)
@@ -421,7 +423,11 @@ def cmd_expand(config: RunConfig) -> list[Path]:
         samples, x, y = _prediction_inputs(tl, player, config)
         extras = momentum.extra_feature_columns(tl, player)
         extras = {k: v[: len(y)] for k, v in extras.items()}
-        order = grnn.rank_extras_by_correlation(extras, y)
+        # rank on the training prefix only: the test labels stay unseen
+        split = grnn.chronological_split(len(y), cv.split_fraction)
+        order = grnn.rank_extras_by_correlation(
+            {k: v[:split] for k, v in extras.items()}, y[:split]
+        )
         sweep = grnn.expand_features(x, extras, y, cv, ranked_names=order)
 
         rows = [

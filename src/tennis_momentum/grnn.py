@@ -112,40 +112,59 @@ def _predict_block(
     train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, sigma: float
 ) -> np.ndarray:
     """Vectorized predictions for already-normalized queries."""
+    return _kernel_average(_sq_distances(train_x, query_x), train_y, (sigma,))[0]
+
+
+def _sq_distances(train_x: np.ndarray, query_x: np.ndarray) -> np.ndarray:
+    """Squared distances (queries, train), clamped at zero."""
     d2 = (
         (query_x**2).sum(axis=1)[:, None]
         - 2.0 * query_x @ train_x.T
         + (train_x**2).sum(axis=1)[None, :]
     )
-    d2 = np.maximum(d2, 0.0)
-    with np.errstate(under="ignore"):
-        w = np.exp(-d2 / (2.0 * sigma**2))
-    denom = w.sum(axis=1)
-    out = np.empty(query_x.shape[0])
-    ok = denom > 0.0
-    out[ok] = (w[ok] @ train_y) / denom[ok]
-    if not ok.all():
-        nearest = np.argmin(d2[~ok], axis=1)
-        out[~ok] = train_y[nearest]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+# Kernel weights per chunk of sigmas: at most 2**16 weights (512 KB).
+_KERNEL_WEIGHTS = 1 << 16
+
+
+def _kernel_average(
+    d2: np.ndarray, train_y: np.ndarray, sigmas: Sequence[float]
+) -> np.ndarray:
+    """Gaussian-kernel averages of train_y, one row of queries per sigma.
+
+    d2 comes from ``_sq_distances``. Sigmas are scored in chunks that share
+    one weight buffer. A query whose weights all underflow to zero takes the
+    target of its nearest training point.
+    """
+    out = np.empty((len(sigmas), d2.shape[0]))
+    neg = np.negative(d2)
+    nearest = train_y[np.argmin(d2, axis=1)]
+    step = max(1, _KERNEL_WEIGHTS // d2.size)
+    buf = np.empty((min(step, len(sigmas)),) + d2.shape)
+    for start in range(0, len(sigmas), step):
+        scale = np.array([2.0 * s**2 for s in sigmas[start : start + step]])
+        w = buf[: len(scale)]
+        np.divide(neg, scale[:, None, None], out=w)
+        with np.errstate(under="ignore"):
+            np.exp(w, out=w)
+        denom = w.sum(axis=2)
+        ok = denom > 0.0
+        preds = out[start : start + len(scale)]
+        np.divide(w @ train_y, denom, out=preds, where=ok)
+        for k in np.flatnonzero(~ok.all(axis=1)):
+            # recomputed over the kept rows alone, as the per-sigma code
+            # did: a matrix-vector product's rounding depends on which
+            # rows it is given
+            preds[k] = nearest
+            preds[k, ok[k]] = (w[k][ok[k]] @ train_y) / denom[k, ok[k]]
     return out
 
 
 def fold_boundaries(n: int, folds: int) -> list[tuple[int, int]]:
     """Contiguous chronological fold index ranges [lo, hi)."""
     return [(f * n // folds, (f + 1) * n // folds) for f in range(folds)]
-
-
-def cross_validated_mse(
-    x: np.ndarray, y: np.ndarray, sigma: float, folds: int
-) -> float:
-    """Mean held-out MSE over contiguous folds at one sigma (x normalized)."""
-    errors = []
-    for lo, hi in fold_boundaries(len(y), folds):
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[lo:hi] = False
-        preds = _predict_block(x[train_mask], y[train_mask], x[lo:hi], sigma)
-        errors.append(float(((y[lo:hi] - preds) ** 2).mean()))
-    return float(np.mean(errors))
 
 
 def train_cv(x: np.ndarray, y: np.ndarray, config: CvConfig) -> GrnnModel:
@@ -172,20 +191,26 @@ def train_cv(x: np.ndarray, y: np.ndarray, config: CvConfig) -> GrnnModel:
     )
     xn = _normalize(x, ranges)
 
-    curve = []
-    best_sigma, best_mse = None, np.inf
-    for sigma in config.sigma_grid:
-        mse = cross_validated_mse(xn, y, sigma, config.folds)
-        curve.append((float(sigma), mse))
-        if mse < best_mse:
-            best_sigma, best_mse = float(sigma), mse
+    # one distance block per fold scores every sigma of the grid
+    errors = np.empty((len(config.sigma_grid), config.folds))
+    for f, (lo, hi) in enumerate(fold_boundaries(n, config.folds)):
+        train = np.ones(n, dtype=bool)
+        train[lo:hi] = False
+        preds = _kernel_average(
+            _sq_distances(xn[train], xn[lo:hi]), y[train], config.sigma_grid
+        )
+        errors[:, f] = ((y[lo:hi] - preds) ** 2).mean(axis=1)
+    mse = errors.mean(axis=1)
+    best = int(np.argmin(mse))  # the first minimum: ties go to the smaller sigma
 
     return GrnnModel(
         training_inputs=xn,
         training_targets=y.copy(),
-        sigma=best_sigma,
+        sigma=float(config.sigma_grid[best]),
         feature_normalization=ranges,
-        cv_curve=tuple(curve),
+        cv_curve=tuple(
+            (float(s), float(m)) for s, m in zip(config.sigma_grid, mse)
+        ),
     )
 
 

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
@@ -297,6 +297,9 @@ _TEXT_FIELDS = frozenset(f for _, f, k in _COLUMN_SPEC if k in {"str", "opt_str"
 # Numeric fields usable in the imputation distance, in schema order.
 _NUMERIC_FIELDS = [f for _, f, _ in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
+# PointRecord's fields in constructor order, read all at once
+_RECORD_FIELDS = [f.name for f in fields(PointRecord)]
+_record_values = attrgetter(*_RECORD_FIELDS)
 
 # Continuous measurement columns summarised by the default box-plot audit.
 BOXPLOT_COLUMNS = ("speed_mph", "p1_distance_run", "p2_distance_run")
@@ -515,7 +518,14 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     if not records:
         raise EmptyInputError("impute_missing needs at least one record")
 
-    absent = {f: np.isnan(_column(records, f)) for f in _OPTIONAL_FIELDS}
+    matrix = np.column_stack([_column(records, f) for f in _NUMERIC_FIELDS])
+    missing = np.isnan(matrix)
+    # numeric gaps are read off the distance matrix; text ones need a scan
+    numeric_absent = dict(zip(_NUMERIC_FIELDS, missing.T))
+    absent = {
+        f: numeric_absent[f] if f in numeric_absent else np.isnan(_column(records, f))
+        for f in _OPTIONAL_FIELDS
+    }
     fillable = [f for f in _OPTIONAL_FIELDS if not absent[f].all()]
     dead_columns = [f for f in _OPTIONAL_FIELDS if f not in fillable]
     if dead_columns:
@@ -536,21 +546,25 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     if not donor_indices.size:
         raise ImputationError("no record has all fields populated")
 
-    matrix = np.column_stack([_column(records, f) for f in _NUMERIC_FIELDS])
     # rows with the same present fields share one donor slice
-    masks, pattern = np.unique(
-        ~np.isnan(matrix[incomplete]), axis=0, return_inverse=True
-    )
+    masks, pattern = np.unique(~missing[incomplete], axis=0, return_inverse=True)
     nearest = np.empty(incomplete.size, dtype=np.intp)
     for p, mask in enumerate(masks):
         members = pattern == p
         rows = incomplete[members]
         nearest[members] = _nearest_donors(matrix, donor_indices, rows, mask)
 
+    # one constructor call per row, not dataclasses.replace's field walk
+    slots = [_RECORD_FIELDS.index(f) for f in fillable]
+    row_gaps = np.column_stack([absent[f] for f in fillable])[incomplete].tolist()
     out = list(records)
-    for i, d in zip(incomplete, nearest):
-        fixes = {f: getattr(records[d], f) for f in fillable if absent[f][i]}
-        out[i] = replace(records[i], **fixes)
+    for i, d, gaps in zip(incomplete.tolist(), nearest.tolist(), row_gaps):
+        values = list(_record_values(records[i]))
+        donor = _record_values(records[d])
+        for slot, gap in zip(slots, gaps):
+            if gap:
+                values[slot] = donor[slot]
+        out[i] = PointRecord(*values)
     return out
 
 

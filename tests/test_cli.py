@@ -183,6 +183,46 @@ def test_expand_summary_not_worse_than_baseline(tmp_path, dataset_path):
     assert summary["best_mse"] <= summary["baseline_mse"]
 
 
+def test_expand_ranks_extras_on_training_prefix(tmp_path, dataset_path, timelines_by_id):
+    from tennis_momentum import momentum
+    from tennis_momentum.grnn import chronological_split, rank_extras_by_correlation
+
+    out = tmp_path / "out"
+    assert run("expand", "--data", dataset_path, "--match", "2023-wimbledon-1304",
+               "--player", 1, "--sigma-count", 4, "--folds", 3, "--out", out) == 0
+    path = next((out / "2023-wimbledon-1304").glob("expand-p1-*.csv"))
+    with path.open(newline="") as fh:
+        added = [row["added_feature"] for row in csv.DictReader(fh)][1:]
+
+    tl = timelines_by_id["2023-wimbledon-1304"]
+    samples = momentum.extract_momentum_samples(tl, 1, drop_final=True)
+    _, y = momentum.sample_matrix(samples)
+    extras = {k: v[: len(y)] for k, v in momentum.extra_feature_columns(tl, 1).items()}
+    split = chronological_split(len(y), 0.7)
+    prefix = {k: v[:split] for k, v in extras.items()}
+    assert added == rank_extras_by_correlation(prefix, y[:split])
+    # ranking on every label would read the test part, and orders differently
+    assert added != rank_extras_by_correlation(extras, y)
+
+
+@pytest.mark.parametrize("sigma_count", [6, 1])
+def test_predict_report_writes_cv_curve(tmp_path, dataset_path, sigma_count):
+    out = tmp_path / "out"
+    assert run("predict", "--data", dataset_path, "--match", "2023-wimbledon-1310",
+               "--player", 1, "--sigma-count", sigma_count, "--folds", 3,
+               "--out", out) == 0
+    report = json.loads(
+        next((out / "2023-wimbledon-1310").glob("predict-report-p1-*.json")).read_text()
+    )
+    sigmas = [s for s, _ in report["cv_curve"]]
+    assert len(sigmas) == sigma_count and sigmas == sorted(sigmas)
+    assert sigmas[0] == pytest.approx(0.01)
+    best = min(report["cv_curve"], key=lambda pair: pair[1])
+    assert report["sigma"] == best[0]
+    # a one-value grid always puts sigma on its edge
+    assert report["sigma_at_grid_edge"] == (report["sigma"] in (sigmas[0], sigmas[-1]))
+
+
 def test_report_includes_metrics(tmp_path, dataset_path):
     out = tmp_path / "out"
     assert run("report", "--data", dataset_path, "--match", "2023-wimbledon-1407",

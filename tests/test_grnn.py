@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -16,6 +17,7 @@ from tennis_momentum import (
     rank_extras_by_correlation,
     train_cv,
 )
+from tennis_momentum import grnn
 from tennis_momentum.grnn import chronological_split, fold_boundaries
 
 
@@ -151,6 +153,134 @@ def normalized(x):
     ok = hi > lo
     out[:, ok] = (x[:, ok] - lo[ok]) / (hi - lo)[ok]
     return out
+
+
+def _reference_predict_block(train_x, train_y, query_x, sigma):
+    """One-sigma kernel average with its own distance block, one call per sigma."""
+    d2 = (
+        (query_x**2).sum(axis=1)[:, None]
+        - 2.0 * query_x @ train_x.T
+        + (train_x**2).sum(axis=1)[None, :]
+    )
+    d2 = np.maximum(d2, 0.0)
+    with np.errstate(under="ignore"):
+        w = np.exp(-d2 / (2.0 * sigma**2))
+    denom = w.sum(axis=1)
+    out = np.empty(query_x.shape[0])
+    ok = denom > 0.0
+    out[ok] = (w[ok] @ train_y) / denom[ok]
+    if not ok.all():
+        nearest = np.argmin(d2[~ok], axis=1)
+        out[~ok] = train_y[nearest]
+    return out
+
+
+def _reference_cv_curve(x, y, sigma_grid, folds):
+    """(sigma, cv mse) pairs and the chosen sigma, one block per (sigma, fold).
+
+    The per-sigma loop ``train_cv`` ran before it scored the whole grid from
+    one distance block per fold; x is already normalized.
+    """
+    curve = []
+    best_sigma, best_mse = None, np.inf
+    for sigma in sigma_grid:
+        errors = []
+        for lo, hi in fold_boundaries(len(y), folds):
+            train_mask = np.ones(len(y), dtype=bool)
+            train_mask[lo:hi] = False
+            preds = _reference_predict_block(
+                x[train_mask], y[train_mask], x[lo:hi], sigma
+            )
+            errors.append(float(((y[lo:hi] - preds) ** 2).mean()))
+        mse = float(np.mean(errors))
+        curve.append((float(sigma), mse))
+        if mse < best_mse:
+            best_sigma, best_mse = float(sigma), mse
+    return tuple(curve), best_sigma
+
+
+# Small sigmas make every kernel weight of a query underflow (nearest-neighbour
+# fallback); then the held-out MSE is the same for all of them, an exact tie.
+_SIGMAS = tuple(float(s) for s in np.geomspace(1e-4, 3.0, 64))
+
+
+@st.composite
+def cv_problems(draw):
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 4))
+    folds = draw(st.integers(2, min(n, 10)))
+    # small integer coordinates: duplicate rows and equal distances are common
+    x = draw(st.lists(st.integers(0, 6), min_size=n * p, max_size=n * p))
+    y = draw(st.lists(st.sampled_from((0.0, 1.0, 0.25)), min_size=n, max_size=n))
+    grid = draw(st.lists(st.sampled_from(_SIGMAS), min_size=1, max_size=64, unique=True))
+    budget = draw(st.sampled_from((1, 37, 1000, grnn._KERNEL_WEIGHTS)))
+    return (np.array(x, dtype=float).reshape(n, p), np.array(y), tuple(sorted(grid)),
+            folds, budget)
+
+
+def _spread(n, p):
+    """Distinct points on a line: at tiny sigmas every weight underflows."""
+    return np.arange(n * p, dtype=float).reshape(n, p)
+
+
+def _uniform(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(n, p)), rng.uniform(size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cv_problems())
+# every weight underflows at the three smallest sigmas; the nearest neighbour
+# predicts every held-out label, so they tie at the minimum of the curve
+@example((_spread(20, 2), np.array([0.0] * 10 + [1.0] * 10), (1e-4, 2e-4, 1e-3, 0.3), 5,
+          1 << 16))
+# a one-value grid
+@example((_spread(12, 1), np.array([1.0, 0.0, 0.0] * 4), (0.2,), 3, 1 << 16))
+# a grid larger than one chunk of weights (one sigma per chunk)
+@example((_spread(30, 3), np.array([0.0, 1.0, 1.0] * 10), _SIGMAS, 5, 1))
+# many folds: the fold mean is numpy's pairwise sum, not a running total
+@example((*_uniform(72, 3, 11), (0.05, 0.2, 0.8), 24, 1 << 16))
+def test_train_cv_matches_per_sigma_reference(problem):
+    x, y, grid, folds, budget = problem
+    with mock.patch.object(grnn, "_KERNEL_WEIGHTS", budget):
+        model = train_cv(x, y, CvConfig(folds=folds, sigma_grid=grid))
+    curve, sigma = _reference_cv_curve(normalized(x), y, grid, folds)
+    assert model.cv_curve == curve
+    assert model.sigma == sigma
+
+
+def test_kernel_average_mixes_underflow_and_weighted_rows():
+    # a tight cluster plus isolated outliers: at small sigmas the outliers'
+    # weights all underflow while the cluster rows keep real weights
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 0.02, size=(80, 2))
+    x[::5] = rng.uniform(0.4, 1.0, size=(16, 2))
+    y = rng.uniform(size=80)
+    train_x, train_y, query_x = x[:50], y[:50], x[50:]
+    sigmas = (0.001, 0.002, 0.004, 0.5)
+    d2 = grnn._sq_distances(train_x, query_x)
+    with np.errstate(under="ignore"):
+        underflow = ~(np.exp(-d2 / (2.0 * sigmas[0] ** 2)).sum(axis=1) > 0.0)
+    assert 0 < underflow.sum() < len(query_x)
+    out = grnn._kernel_average(d2, train_y, sigmas)
+    for k, sigma in enumerate(sigmas):
+        assert out[k].tolist() == _reference_predict_block(
+            train_x, train_y, query_x, sigma
+        ).tolist()
+
+
+def test_train_cv_builds_one_distance_block_per_fold(monkeypatch):
+    calls = []
+    real = grnn._sq_distances
+
+    def counting(train_x, query_x):
+        calls.append(query_x.shape[0])
+        return real(train_x, query_x)
+
+    monkeypatch.setattr(grnn, "_sq_distances", counting)
+    rng = np.random.default_rng(4)
+    train_cv(rng.uniform(size=(23, 3)), rng.uniform(size=23), CvConfig(folds=5))
+    assert calls == [hi - lo for lo, hi in fold_boundaries(23, 5)]
 
 
 def test_train_cv_single_sigma_matches_fold_oracle():

@@ -1,9 +1,12 @@
-"""SHA-256 of the ``clean`` outputs for the committed sample, pinned.
+"""SHA-256 of ``clean``, ``predict`` and ``expand`` outputs for the committed sample, pinned.
 
-``tests/data/pinned_outputs.json`` holds the digests of the cleaned CSV, the
-missing-rate table and the box-plot table that ``clean`` writes for
-``data/sample_points.csv``; loader, writer and imputation changes must leave
-those bytes as they are. Regenerate (only when a change of these outputs is
+``tests/data/pinned_outputs.json`` holds, under ``clean``, the digests of the
+cleaned CSV, the missing-rate table and the box-plot table that ``clean``
+writes for ``data/sample_points.csv``; loader, writer and imputation changes
+must leave those bytes as they are. Under ``models`` it holds the digests of
+the ``predict-points`` and ``expand`` files of every sample match with
+``--player 0``, which pin the kernel-regression arithmetic and the order of
+the expansion sweep. Regenerate (only when a change of these outputs is
 intended) with::
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
@@ -18,6 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE = ROOT / "data" / "sample_points.csv"
 PINNED = ROOT / "tests" / "data" / "pinned_outputs.json"
+MATCHES = tuple(
+    f"2023-wimbledon-{m}" for m in ("1301", "1304", "1310", "1407", "1701")
+)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def clean_digests() -> dict[str, str]:
@@ -27,16 +37,39 @@ def clean_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["clean", "--data", str(SAMPLE), "--out", tmp]) == 0
         return {
-            path.name.split("-")[0]: hashlib.sha256(path.read_bytes()).hexdigest()
+            path.name.split("-")[0]: _sha256(path)
             for path in sorted((Path(tmp) / "all").iterdir())
         }
 
 
+def model_digests() -> dict[str, str]:
+    """SHA-256 per ``predict-points`` and ``expand`` output of every sample
+    match, keyed by match and file name without the config digest."""
+    from tennis_momentum.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for match in MATCHES:
+            for command in ("predict", "expand"):
+                argv = [command, "--data", str(SAMPLE), "--match", match,
+                        "--player", "0", "--out", tmp]
+                assert main(argv) == 0
+        return {
+            f"{path.parent.name}/{path.name.rsplit('-', 1)[0]}": _sha256(path)
+            for path in sorted(Path(tmp).glob("*/*"))
+            if not path.name.startswith("predict-report")
+        }
+
+
 def test_clean_outputs_match_pinned():
-    assert clean_digests() == json.loads(PINNED.read_text())
+    assert clean_digests() == json.loads(PINNED.read_text())["clean"]
+
+
+def test_model_outputs_match_pinned():
+    assert model_digests() == json.loads(PINNED.read_text())["models"]
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
-    PINNED.write_text(json.dumps(clean_digests(), indent=2, sort_keys=True) + "\n",
+    pinned = {"clean": clean_digests(), "models": model_digests()}
+    PINNED.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
