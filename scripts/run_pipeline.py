@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run the whole analytics pipeline on the sample dataset.
 
-Executes every CLI subcommand for one match and prints the produced files,
-the held-out prediction report, and the expansion summary.
+Loads the point-by-point file once, runs every CLI subcommand on the loaded
+matches (clean and indicators over all of them, the rest on one match) and
+prints the produced files, the held-out prediction report, and the
+expansion summary. A missing or bad input file exits 2 with a
+``data error:`` line, as the CLI does.
 
 Usage: python scripts/run_pipeline.py [--data data/sample_points.csv]
        [--match 2023-wimbledon-1304] [--out out]
@@ -15,34 +18,39 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tennis_momentum.cli import main as cli_main  # noqa: E402
+from tennis_momentum.cli import EXIT_DATA, main as cli_main  # noqa: E402
+from tennis_momentum.errors import DataError  # noqa: E402
+from tennis_momentum.ingest import load_matches  # noqa: E402
 
 
-def run(argv):
-    code = cli_main([str(a) for a in argv])
+def run(argv, timelines):
+    code = cli_main([str(a) for a in argv], timelines)
     if code != 0:
         raise SystemExit(code)
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="data/sample_points.csv")
     parser.add_argument("--match", default="2023-wimbledon-1304")
     parser.add_argument("--player", default="1")
     parser.add_argument("--out", default="out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+
+    try:
+        timelines = load_matches(args.data)
+    except (DataError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_DATA)
 
     base = ["--data", args.data, "--out", args.out]
     scoped = base + ["--match", args.match, "--player", args.player]
 
-    run(["clean", *base])
-    run(["indicators", *base])
-    run(["evaluate", *scoped])
-    run(["correlate", *scoped])
-    run(["turning-points", *scoped])
-    run(["predict", *scoped])
-    run(["expand", *scoped])
-    run(["report", *scoped])
+    run(["clean", *base], timelines)
+    run(["indicators", *base], timelines)
+    for command in ("evaluate", "correlate", "turning-points", "predict", "expand",
+                    "report"):
+        run([command, *scoped], timelines)
 
     match_dir = Path(args.out) / args.match
     predict = json.loads(next(match_dir.glob("predict-report-p*.json")).read_text())

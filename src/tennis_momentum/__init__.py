@@ -10,6 +10,7 @@ from .errors import (
     RowParseError,
     SchemaError,
     UndefinedCorrelationError,
+    UnknownMatchError,
 )
 from .ingest import (
     BoxplotReport,

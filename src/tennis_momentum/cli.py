@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grnn, momentum
-from .errors import DataError
+from .errors import DataError, UnknownMatchError
 from .fuzzy import momentum_series
 from .indicators import INDICATOR_NAMES, compute_indicators, pca_reduce, segment_labels
 from .ingest import (
@@ -170,12 +170,13 @@ def write_table(path_base: Path, fmt: str, header: list[str], rows: list[list]):
 
 
 def _load(config: RunConfig) -> list[MatchTimeline]:
+    """The timelines of ``--data``; with ``--match``, of that match only."""
     if not config.data:
         raise UsageError("--data is required")
     path = Path(config.data)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
-    return load_matches(path)
+    return load_matches(path, config.match or None)
 
 
 def _select_match(timelines: list[MatchTimeline], config: RunConfig) -> MatchTimeline:
@@ -184,8 +185,7 @@ def _select_match(timelines: list[MatchTimeline], config: RunConfig) -> MatchTim
     for tl in timelines:
         if tl.match_id == config.match:
             return tl
-    available = ", ".join(tl.match_id for tl in timelines)
-    raise DataError(f"unknown match id {config.match!r}; available: {available}")
+    raise UnknownMatchError(config.match, (tl.match_id for tl in timelines))
 
 
 def _players(config: RunConfig) -> list[int]:
@@ -200,8 +200,7 @@ def _outdir(config: RunConfig, match_id: str) -> Path:
     return Path(config.out) / (match_id or "all")
 
 
-def cmd_clean(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     if config.match:
         timelines = [_select_match(timelines, config)]
     records = flatten_timelines(timelines)
@@ -242,8 +241,7 @@ def cmd_clean(config: RunConfig) -> list[Path]:
     return paths
 
 
-def cmd_indicators(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     if config.match:
         timelines = [_select_match(timelines, config)]
     rows = []
@@ -273,8 +271,7 @@ def cmd_indicators(config: RunConfig) -> list[Path]:
     return [path]
 
 
-def cmd_evaluate(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_evaluate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     rows = []
     for player in _players(config):
@@ -287,8 +284,7 @@ def cmd_evaluate(config: RunConfig) -> list[Path]:
     return [path]
 
 
-def cmd_correlate(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_correlate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     paths = []
     for player in _players(config):
@@ -313,8 +309,7 @@ def cmd_correlate(config: RunConfig) -> list[Path]:
     return paths
 
 
-def cmd_turning_points(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     paths = []
     outdir = _outdir(config, tl.match_id)
@@ -371,8 +366,7 @@ def _prediction_inputs(tl: MatchTimeline, player: int, config: RunConfig):
     return samples, x, y
 
 
-def cmd_predict(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     paths = []
     outdir = _outdir(config, tl.match_id)
@@ -412,8 +406,7 @@ def cmd_predict(config: RunConfig) -> list[Path]:
     return paths
 
 
-def cmd_expand(config: RunConfig) -> list[Path]:
-    timelines = _load(config)
+def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     paths = []
     outdir = _outdir(config, tl.match_id)
@@ -461,9 +454,8 @@ def cmd_expand(config: RunConfig) -> list[Path]:
     return paths
 
 
-def cmd_report(config: RunConfig) -> list[Path]:
+def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     """One JSON per match: missing data, correlations, prediction quality."""
-    timelines = _load(config)
     tl = _select_match(timelines, config)
     records = list(tl.records)
     rates = missing_rate(records).rates
@@ -555,12 +547,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def main(argv=None) -> int:
+def main(argv=None, timelines=None) -> int:
+    """Run one subcommand; returns its exit code.
+
+    Without ``timelines`` the command loads ``--data`` (with ``--match``,
+    only that match's rows are parsed). Passing the result of
+    ``load_matches`` on ``--data`` instead lets one process run several
+    subcommands from one load; ``--data`` still enters the configuration
+    digest, so the output file names are the same either way.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = resolve_config(args)
-        paths = _COMMANDS[args.command](config)
+        if timelines is None:
+            timelines = _load(config)
+        paths = _COMMANDS[args.command](config, timelines)
     # before ValueError: some data errors are also ValueErrors
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -21,6 +21,17 @@ class RowParseError(DataError):
         super().__init__(f"row {row_number}: {message}")
 
 
+class UnknownMatchError(DataError):
+    """A requested match id is not in the input; the message lists those that are."""
+
+    def __init__(self, match_id, available):
+        self.match_id = match_id
+        self.available = tuple(available)
+        super().__init__(
+            f"unknown match id {match_id!r}; available: {', '.join(self.available)}"
+        )
+
+
 class EmptyInputError(DataError):
     """An operation that needs at least one record received none."""
 

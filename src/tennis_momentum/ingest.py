@@ -27,6 +27,7 @@ from .errors import (
     ImputationError,
     RowParseError,
     SchemaError,
+    UnknownMatchError,
 )
 
 # "AD" (advantage) is folded onto the numeric scale as 55. The cleaned CSV
@@ -374,14 +375,22 @@ _PARSERS = {
 }
 
 
-def load_matches(path: str | Path) -> list[MatchTimeline]:
+def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTimeline]:
     """Read a point-by-point CSV into one ordered timeline per match.
 
     Records are sorted by (set_no, game_no, point_no); duplicate keys within
     a match are rejected. Timelines come back sorted by match id.
+
+    With ``match_id`` only that match is parsed: rows of other matches are
+    skipped on their stripped ``match_id`` cell, so their other cells and
+    point keys are not validated. The CSV reader still scans the whole file,
+    so malformed CSV and undecodable bytes anywhere fail the load, and row
+    numbers count every data row. An id absent from the file raises
+    ``UnknownMatchError``, which lists the ids present.
     """
     path = Path(path)
     by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
+    skipped: set[str] = set()  # match ids of the rows left unparsed
     row_number = None  # until the header is read
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -405,10 +414,16 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
                 for c, field, kind in _COLUMN_SPEC
                 if c in position
             ]
+            id_index = position["match_id"]
             # blank lines are skipped and not counted
             for row_number, row in enumerate(filter(None, reader), start=1):
                 if len(row) < len(header):  # missing trailing cells read as empty
                     row += [""] * (len(header) - len(row))
+                if match_id is not None:
+                    row_id = row[id_index].strip()
+                    if row_id != match_id:
+                        skipped.add(row_id)
+                        continue
                 values = {}
                 try:
                     for field, index, parse in plan:
@@ -434,20 +449,22 @@ def load_matches(path: str | Path) -> list[MatchTimeline]:
         ) from exc
 
     if not by_match:
-        raise EmptyInputError(f"{path} contains no data rows")
+        if not skipped:
+            raise EmptyInputError(f"{path} contains no data rows")
+        raise UnknownMatchError(match_id, sorted(skipped - {""}))
 
     timelines = []
-    for match_id in sorted(by_match):
+    for mid in sorted(by_match):
         # stable: of two rows with one key, the later row comes second
-        rows = sorted(by_match[match_id], key=lambda item: item[0])
+        rows = sorted(by_match[mid], key=lambda item: item[0])
         for (key_a, row_a, _), (key_b, row_b, _) in zip(rows, rows[1:]):
             if key_a == key_b:
                 raise RowParseError(
                     row_b,
-                    f"match {match_id}: duplicate point key {key_b} "
+                    f"match {mid}: duplicate point key {key_b} "
                     f"(rows {row_a} and {row_b})",
                 )
-        timelines.append(MatchTimeline(match_id, tuple(r for _, _, r in rows)))
+        timelines.append(MatchTimeline(mid, tuple(r for _, _, r in rows)))
     return timelines
 
 

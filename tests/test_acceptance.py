@@ -182,6 +182,46 @@ def test_criterion_06_cross_match_direction(timelines_by_id):
     )
 
 
+def _prefix_sweep(tl, x, y, player=1, config=None):
+    """The sweep ``expand`` writes: extras ranked on the training prefix only."""
+    config = config or CvConfig()
+    extras = mm.extra_feature_columns(tl, player)
+    extras = {k: v[: len(y)] for k, v in extras.items()}
+    split = chronological_split(len(y), config.split_fraction)
+    order = rank_extras_by_correlation(
+        {k: v[:split] for k, v in extras.items()}, y[:split]
+    )
+    return expand_features(x, extras, y, config, ranked_names=order)
+
+
+def test_criterion_12_cross_match_direction_on_written_sweep(timelines_by_id):
+    """Criterion 06's comparison, on the sweep order ``expand`` writes."""
+    matches = ("2023-wimbledon-1310", "2023-wimbledon-1407", "2023-wimbledon-1701")
+    base_accs, exp_accs = [], []
+    monotone = True
+    for mid in matches:
+        tl = timelines_by_id[mid]
+        _, x, y, rep = _baseline_eval(tl, player=1)
+        expanded = _prefix_sweep(tl, x, y, player=1).best_by_acc.acc
+        monotone &= expanded >= rep.acc
+        base_accs.append(rep.acc)
+        exp_accs.append(expanded)
+    base_mean = float(np.mean(base_accs))
+    exp_mean = float(np.mean(exp_accs))
+    ok = (
+        monotone
+        and abs(base_mean - 0.7709) <= 0.06
+        and abs(exp_mean - 0.8664) <= 0.06
+    )
+    report(
+        12,
+        ok,
+        f"prefix-ranked sweep: baseline mean {base_mean:.4f} (target 0.7709+-0.06), "
+        f"expanded mean {exp_mean:.4f} (target 0.8664+-0.06), "
+        f"per-match expanded >= baseline: {monotone}",
+    )
+
+
 def test_criterion_07_expansion_sweep_shape(timelines_by_id):
     tl = timelines_by_id["2023-wimbledon-1310"]
     _, x, y, _ = _baseline_eval(tl, player=1)

@@ -79,6 +79,53 @@ def test_evaluate_unknown_match_lists_available(tiny_csv, tmp_path, capsys):
     assert "m-a" in err and "m-b" in err
 
 
+def _edit_cells(path, edits):
+    """Rewrite cells of a CSV; ``edits`` maps (data row, column) to the new cell."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for (row, column), cell in edits.items():
+        rows[row][rows[0].index(column)] = cell
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# tiny_csv holds m-a in data rows 1-8 and m-b in rows 9-16
+
+
+def test_scoped_command_ignores_bad_cells_of_other_matches(tiny_csv, tmp_path, capsys):
+    _edit_cells(tiny_csv, {(10, "point_victor"): "9"})
+    assert run("evaluate", "--data", tiny_csv, "--match", "m-a", "--window", 2,
+               "--out", tmp_path / "out") == 0
+    # an unscoped command still validates every row
+    assert run("clean", "--data", tiny_csv, "--out", tmp_path / "out") == 2
+    assert "data error: row 10: bad point_victor value '9'" in capsys.readouterr().err
+
+
+def test_scoped_bad_cell_counts_skipped_rows(tiny_csv, tmp_path, capsys):
+    _edit_cells(tiny_csv, {(10, "point_victor"): "9"})
+    assert run("evaluate", "--data", tiny_csv, "--match", "m-b", "--window", 2,
+               "--out", tmp_path / "out") == 2
+    assert "data error: row 10: bad point_victor value '9'" in capsys.readouterr().err
+
+
+def test_scoped_duplicate_key_names_both_file_rows(tiny_csv, tmp_path, capsys):
+    # row 13 (game 2, point 1) takes the key of row 10 (game 1, point 2)
+    _edit_cells(tiny_csv, {(13, "game_no"): "1", (13, "point_no"): "2"})
+    assert run("evaluate", "--data", tiny_csv, "--match", "m-b", "--window", 2,
+               "--out", tmp_path / "out") == 2
+    assert (
+        "data error: row 13: match m-b: duplicate point key (1, 1, 2) (rows 10 and 13)"
+        in capsys.readouterr().err
+    )
+
+
+def test_scoped_command_fails_on_malformed_csv_in_other_match(tiny_csv, tmp_path, capsys):
+    _edit_cells(tiny_csv, {(12, "serve_width"): "W" * 200_000})
+    assert run("evaluate", "--data", tiny_csv, "--match", "m-a", "--window", 2,
+               "--out", tmp_path / "out") == 2
+    assert "data error: row 12: malformed CSV" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     assert run("clean") == 1  # --data missing
     assert run("nonsense", "--data", "x") == 1

@@ -296,6 +296,33 @@ def test_load_zero_byte_file_is_schema_error(tmp_path):
         load_matches(path)
 
 
+def test_scoped_load_equals_that_match_of_the_full_load(dataset_path, timelines):
+    for tl in timelines:
+        assert load_matches(dataset_path, tl.match_id) == [tl]
+
+
+def test_scoped_load_of_unknown_id_lists_every_id(tmp_path):
+    from tennis_momentum.cli import RunConfig, _select_match
+
+    records = [make_record(match_id=m) for m in ("m-b", "m-a", "m-c")]
+    path = tmp_path / "three.csv"
+    _write_csv(path, records)
+    with pytest.raises(DataError) as scoped:
+        load_matches(path, "nope")
+    # word for word what the CLI says when it selects from a full load
+    with pytest.raises(DataError) as selected:
+        _select_match(load_matches(path), RunConfig(match="nope"))
+    assert str(scoped.value) == "unknown match id 'nope'; available: m-a, m-b, m-c"
+    assert str(scoped.value) == str(selected.value)
+
+
+def test_scoped_load_of_header_only_file_is_empty_input(tmp_path):
+    path = tmp_path / "header.csv"
+    _write_csv(path, [])
+    with pytest.raises(EmptyInputError):
+        load_matches(path, "m1")
+
+
 # --- round trip -----------------------------------------------------------
 
 _TEXT = st.text(alphabet="abcXYZ09 ,\"'-", min_size=1, max_size=6).filter(
