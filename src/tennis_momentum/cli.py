@@ -28,7 +28,13 @@ import numpy as np
 from . import grnn, momentum
 from .errors import DataError, UnknownMatchError
 from .fuzzy import momentum_series
-from .indicators import INDICATOR_NAMES, compute_indicators, pca_reduce, segment_labels
+from .indicators import (
+    INDICATOR_NAMES,
+    compute_indicators,
+    indicator_values,
+    pca_reduce,
+    segment_labels,
+)
 from .ingest import (
     MatchTimeline,
     flatten_timelines,
@@ -252,7 +258,7 @@ def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pa
             vectors = compute_indicators(tl, player, config.segmentation)
             for label, vec in zip(labels, vectors):
                 rows.append([tl.match_id, player, label])
-                matrix.append(vec.as_array())
+                matrix.append(indicator_values(vec))
     matrix = np.asarray(matrix)
     k = min(config.pca_components, max(1, min(matrix.shape[0] - 1, matrix.shape[1])))
     result = pca_reduce(matrix, k)

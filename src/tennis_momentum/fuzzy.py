@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataQualityWarning, DegenerateRangeError, InsufficientDataError
-from .indicators import INDICATOR_NAMES, normalize_minmax, positivize, segment_indicators
+from .indicators import INDICATOR_NAMES, indicator_matrix, normalize_minmax, positivize
 from .ingest import MatchTimeline
 
 COMMENT_GRADES = (
@@ -206,16 +206,10 @@ def momentum_score(b: Sequence[float]) -> float:
 def _window_indicator_matrix(
     timeline: MatchTimeline, player: int, window: int, hierarchy: FuzzyHierarchy
 ) -> np.ndarray:
-    side = timeline.arrays.player(player)
-    columns = [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]
-    with warnings.catch_warnings():
-        # Degenerate windows (no points won, etc.) are routine here.
-        warnings.simplefilter("ignore", DataQualityWarning)
-        rows = [
-            segment_indicators(side, slice(end - window, end))[columns]
-            for end in range(window, len(timeline) + 1)
-        ]
-    return np.asarray(rows, dtype=float)
+    ends = np.arange(window, len(timeline) + 1)
+    # Degenerate windows (no points won, etc.) are routine here: flags unused.
+    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
+    return matrix[:, [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]]
 
 
 def momentum_series(

@@ -1,12 +1,15 @@
 """Per-player performance indicators over match segments, plus PCA reduction.
 
-Twenty-two indicators are computed per segment (a set, a game, or an
-arbitrary slice of points). Counts and rates follow the conventions below:
+Twenty-two indicators are computed per segment (a set, a game, a sliding
+window or any other run of points) by one kernel, ``indicator_matrix``, over
+arrays of (start, end) point bounds. Counts and rates follow the conventions
+below:
 
 * serve-score rates use points won on serve as the denominator
   (``x11 = x9 / (x9 + x10)``), not serve attempts;
-* any indicator whose denominator is empty is set to 0 and a
-  ``DataQualityWarning`` is emitted;
+* any indicator whose denominator is empty is set to 0 and flagged;
+  ``compute_indicators`` and ``indicator_vector`` turn the flags into one
+  ``DataQualityWarning`` per kind, naming how many segments it affects;
 * variances are population variances (1/n).
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +26,8 @@ from .errors import DataQualityWarning, DegenerateRangeError
 from .ingest import MatchArrays, MatchTimeline, PlayerColumns, PointRecord
 
 INDICATOR_NAMES = tuple(f"x{i}" for i in range(1, 23))
+# x1..x22 of an IndicatorVector, as a tuple
+indicator_values = attrgetter(*INDICATOR_NAMES)
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class IndicatorVector:
     x22: float  # variance of running distance
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in INDICATOR_NAMES])
+        return np.array(indicator_values(self))
 
 
 @dataclass(frozen=True)
@@ -66,114 +72,208 @@ def _warn(msg: str) -> None:
     warnings.warn(msg, DataQualityWarning, stacklevel=3)
 
 
+# The kinds of degenerate range that indicator_matrix flags: what a warning
+# says of the segments, and what the kernel sets to 0 for them.
+DEGENERATE_KINDS = {
+    "no_wins": ("no points won", "x2/x3"),
+    "zero_totals": ("running point totals of 0", "affected shares"),
+    "serve_unknown": ("server/serve_no unavailable", "x9-x12"),
+    "no_serve_wins": ("no points won on serve", "x11/x12"),
+    "no_distance": ("no running-distance values", "x21/x22"),
+}
+
+# Rows of one block gathered at once by _run_moments, at most this many cells.
+_BLOCK_CELLS = 1 << 20
+
+
+def _warn_degenerate(player: int, degenerate: dict[str, np.ndarray]) -> None:
+    """One DataQualityWarning per kind of degenerate segment, with its count."""
+    for kind, mask in degenerate.items():
+        count = int(mask.sum())
+        if count:
+            what, zeroed = DEGENERATE_KINDS[kind]
+            # stacklevel 3: the caller of compute_indicators or indicator_vector
+            warnings.warn(
+                f"player {player}: {what} in {count} of {mask.size} segments; "
+                f"{zeroed} set to 0",
+                DataQualityWarning,
+                stacklevel=3,
+            )
+
+
+def _run_moments(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population variance of ``values[s:s + l]`` per run; 0 for l = 0.
+
+    Runs of one length are gathered into a C-contiguous (runs, l) block and
+    reduced along its rows, which sums each row as ``values[s:s + l]`` alone
+    would be summed: the results are bit-identical to ``.mean()`` and
+    ``.var()`` of each slice. (``np.add.reduceat`` is not.)
+    """
+    mean = np.zeros(starts.size)
+    var = np.zeros(starts.size)
+    for length in np.unique(lengths[lengths > 0]):
+        runs = np.flatnonzero(lengths == length)
+        step = max(1, _BLOCK_CELLS // length)
+        for chunk in (runs[i : i + step] for i in range(0, runs.size, step)):
+            block = values[starts[chunk, None] + np.arange(length)]
+            mean[chunk] = block.mean(axis=1)
+            var[chunk] = block.var(axis=1)
+    return mean, var
+
+
+def indicator_matrix(
+    side: PlayerColumns, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """x1..x22 for one player over each point range ``[starts[i], ends[i])``.
+
+    Returns a (k, 22) matrix and, per ``DEGENERATE_KINDS`` key, a (k,) bool
+    array flagging the ranges of that kind. Every range must hold at least
+    one point. Counts, sums of won-point durations and score sums are
+    differences of prefix sums; they are exact because those columns hold
+    whole numbers (seconds, points, 0/1 flags). Shares and distances are
+    reduced per range by ``_run_moments``. The kernel never warns: callers
+    turn the flags into warnings or counts.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    m = (ends - starts).astype(float)
+    won = side.won
+    own_pw = side.points_won
+    total_pw = own_pw + side.opp_points_won
+    nonzero = total_pw > 0
+    serving_won = won & side.serving
+    present = ~np.isnan(side.distance)
+    counted = np.vstack([
+        won,  # row 0
+        np.where(won, side.durations, 0.0),
+        side.score,
+        side.score >= 40,
+        serving_won & side.first_serve,
+        serving_won & ~side.first_serve,
+        side.serve_known,
+        ~nonzero,
+        present,  # row 8
+        side.events,  # aces first, then x15..x20 in EVENT_FLAGS order
+    ])
+    prefix = np.zeros((counted.shape[0], counted.shape[1] + 1))
+    np.cumsum(counted, axis=1, out=prefix[:, 1:])
+    (wins, win_time, score_sum, high, first_won, second_won, known, zero_total,
+     dist_count, aces, *event_counts) = prefix[:, ends] - prefix[:, starts]
+
+    out = np.zeros((starts.size, len(INDICATOR_NAMES)))
+    out[:, 0] = wins
+    np.divide(win_time, wins, out=out[:, 1], where=wins > 0)
+    # the successive differences of won-point durations telescope to last - first
+    several = np.flatnonzero(wins >= 2)
+    win_rows = np.flatnonzero(won)
+    wins_before = prefix[0].astype(np.intp)
+    first = side.durations[win_rows[wins_before[starts[several]]]]
+    last = side.durations[win_rows[wins_before[ends[several]] - 1]]
+    out[several, 2] = (last - first) / wins[several]
+    out[:, 3] = score_sum / m
+    out[:, 4] = score_sum
+    out[:, 5] = high / m
+
+    shares = np.zeros(won.size)
+    shares[nonzero] = own_pw[nonzero] / total_pw[nonzero]
+    out[:, 6], out[:, 7] = _run_moments(shares, starts, ends - starts)
+
+    has_serve = known == m
+    out[:, 8] = np.where(has_serve, first_won, 0.0)
+    out[:, 9] = np.where(has_serve, second_won, 0.0)
+    serve_wins = out[:, 8] + out[:, 9]
+    np.divide(out[:, 8], serve_wins, out=out[:, 10], where=serve_wins > 0)
+    np.divide(out[:, 9], serve_wins, out=out[:, 11], where=serve_wins > 0)
+    out[:, 12] = aces
+    out[:, 13] = wins / m
+    out[:, 14:20] = np.transpose(event_counts) / m[:, None]
+
+    # a range's present distances are one run of the present values
+    dists_before = prefix[8, starts].astype(np.intp)
+    out[:, 20], out[:, 21] = _run_moments(
+        side.distance[present], dists_before, dist_count.astype(np.intp)
+    )
+    degenerate = {
+        "no_wins": wins == 0,
+        "zero_totals": zero_total > 0,
+        "serve_unknown": ~has_serve,
+        "no_serve_wins": has_serve & (serve_wins == 0),
+        "no_distance": dist_count == 0,
+    }
+    return out, degenerate
+
+
 def indicator_vector(records: Sequence[PointRecord], player: int) -> IndicatorVector:
     """Compute x1..x22 for one player over one contiguous segment.
 
-    Durations come from the segment's own clock; ``compute_indicators``
-    uses match-wide durations so a segment's first point keeps its length.
+    A thin wrapper over ``indicator_matrix`` with the one range (0, n),
+    warning like ``compute_indicators``. Durations come from the segment's
+    own clock; ``compute_indicators`` uses match-wide durations so a
+    segment's first point keeps its length.
     """
     if not records:
         raise ValueError("segment must contain at least one record")
     side = MatchArrays.from_records(records).player(player)
-    return IndicatorVector(*segment_indicators(side, slice(None)))
+    matrix, degenerate = indicator_matrix(side, [0], [len(records)])
+    _warn_degenerate(player, degenerate)
+    return IndicatorVector(*matrix[0].tolist())
 
 
-def segment_indicators(side: PlayerColumns, rows: slice | np.ndarray) -> np.ndarray:
-    """x1..x22 for one player over the points ``rows`` selects."""
-    player = side.player
-    won = side.won[rows]
-    m = won.size
-    x1 = float(won.sum())
+def _segments(
+    timeline: MatchTimeline, segmentation: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment keys, one row per segment, and each segment's (start, end) bounds.
 
-    win_times = side.durations[rows][won]
-    if win_times.size:
-        x2 = float(win_times.mean())
-    else:
-        _warn(f"player {player}: no points won in segment; x2/x3 set to 0")
-        x2 = 0.0
-    if win_times.size >= 2:
-        x3 = float(np.diff(win_times).sum() / win_times.size)
-    else:
-        x3 = 0.0
-
-    scores = side.score[rows]
-    x4 = float(scores.mean())
-    x5 = float(scores.sum())
-    x6 = float((scores >= 40).sum() / m)
-
-    own_pw = side.points_won[rows]
-    total_pw = own_pw + side.opp_points_won[rows]
-    shares = np.zeros(m)
-    nonzero = total_pw > 0
-    if not nonzero.all():
-        _warn("running point totals of 0 encountered; affected shares set to 0")
-    shares[nonzero] = own_pw[nonzero] / total_pw[nonzero]
-    x7 = float(shares.mean())
-    x8 = float(shares.var())
-
-    has_serve = bool(side.serve_known[rows].all())
-    if has_serve:
-        serving = side.serving[rows]
-        first = side.first_serve[rows]
-        x9 = float((won & serving & first).sum())
-        x10 = float((won & serving & ~first).sum())
-    else:
-        _warn("server/serve_no unavailable; x9-x12 set to 0")
-        x9 = x10 = 0.0
-    if x9 + x10 > 0:
-        x11 = x9 / (x9 + x10)
-        x12 = x10 / (x9 + x10)
-    else:
-        if has_serve:
-            _warn(f"player {player}: no points won on serve; x11/x12 set to 0")
-        x11 = x12 = 0.0
-
-    events = side.events[:, rows]  # aces first, then x15..x20 in EVENT_FLAGS order
-    x13 = float(events[0].sum())
-    x14 = x1 / m
-    rates = (events[1:].sum(axis=1) / m).tolist()
-
-    dists = side.distance[rows]
-    dv = dists[~np.isnan(dists)]
-    if dv.size:
-        x21 = float(dv.mean())
-        x22 = float(dv.var())
-    else:
-        _warn(f"player {player}: no running-distance values; x21/x22 set to 0")
-        x21 = x22 = 0.0
-
-    return np.array(
-        [x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, *rates, x21, x22]
-    )
-
-
-def _segments(arrays: MatchArrays, segmentation: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sorted unique segment keys and, per key, the positions of its points."""
+    A segment is a run of points sharing a set (and game) number. Loaded
+    timelines are sorted by key; a timeline built otherwise must list each
+    key in one run and in increasing order, or ValueError names the match.
+    """
     if segmentation not in ("set", "game"):
         raise ValueError(f"segmentation must be 'set' or 'game', got {segmentation!r}")
-    columns = [arrays.set_no] if segmentation == "set" else [arrays.set_no, arrays.game_no]
-    unique, inverse, counts = np.unique(
-        np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
+    arrays = timeline.arrays
+    keys = np.column_stack(
+        [arrays.set_no] if segmentation == "set" else [arrays.set_no, arrays.game_no]
     )
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    return unique, np.split(order, np.cumsum(counts)[:-1])
+    starts = np.concatenate([[0], np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1])
+    ends = np.append(starts[1:], keys.shape[0])
+    run_keys = keys[starts]
+    later, earlier = run_keys[1:], run_keys[:-1]
+    # the first differing column of neighbouring runs decides their order
+    column = np.argmax(later != earlier, axis=1)
+    rows = np.arange(column.size)
+    backwards = np.flatnonzero(later[rows, column] < earlier[rows, column])
+    if backwards.size:
+        i = backwards[0]
+        raise ValueError(
+            f"match {timeline.match_id!r}: {segmentation} key {tuple(later[i].tolist())} "
+            f"follows {tuple(earlier[i].tolist())}; points must be in (set, game) order"
+        )
+    return run_keys, starts, ends
 
 
 def compute_indicators(
     timeline: MatchTimeline, player: int, segmentation: str = "set"
 ) -> list[IndicatorVector]:
-    """One IndicatorVector per segment (``"set"`` or ``"game"``)."""
+    """One IndicatorVector per segment (``"set"`` or ``"game"``).
+
+    Degenerate segments give at most one DataQualityWarning per kind, naming
+    how many segments it affects.
+    """
     side = timeline.arrays.player(player)
-    _, segments = _segments(timeline.arrays, segmentation)
-    return [IndicatorVector(*segment_indicators(side, rows)) for rows in segments]
+    _, starts, ends = _segments(timeline, segmentation)
+    matrix, degenerate = indicator_matrix(side, starts, ends)
+    _warn_degenerate(player, degenerate)
+    return [IndicatorVector(*row) for row in matrix.tolist()]
 
 
 def segment_labels(timeline: MatchTimeline, segmentation: str = "set") -> list[str]:
     """Segment names aligned with ``compute_indicators`` output."""
-    keys, _ = _segments(timeline.arrays, segmentation)
+    keys, _, _ = _segments(timeline, segmentation)
     if segmentation == "set":
-        return [f"set{k[0]}" for k in keys]
-    return [f"set{k[0]}-game{k[1]}" for k in keys]
+        return [f"set{s}" for (s,) in keys.tolist()]
+    return [f"set{s}-game{g}" for s, g in keys.tolist()]
 
 
 def positivize(values: Sequence[float]) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,16 @@ from tennis_momentum import (
     pca_reduce,
     positivize,
 )
-from tennis_momentum.ingest import MatchTimeline
-from tennis_momentum.indicators import indicator_vector
+from tennis_momentum import indicators
+from tennis_momentum.fuzzy import momentum_series
+from tennis_momentum.ingest import EVENT_FLAGS, MatchTimeline
+from tennis_momentum.indicators import (
+    INDICATOR_NAMES,
+    IndicatorVector,
+    indicator_matrix,
+    indicator_vector,
+    segment_labels,
+)
 
 from conftest import make_record, make_timeline
 
@@ -254,3 +264,250 @@ def test_pca_zero_variance_column_warns():
 def test_indicator_count_is_22(timelines):
     vec = compute_indicators(timelines[0], 1)[0]
     assert vec.as_array().shape == (22,)
+
+
+# --- the (start, end) kernel against a per-segment oracle -------------------
+
+def _warn(msg):
+    warnings.warn(msg, DataQualityWarning, stacklevel=3)
+
+
+# Oracle: x1..x22 of one slice at a time, with numpy reductions over the
+# slice itself; indicator_matrix must give the same bits for every range.
+def _reference_segment_indicators(side, rows):
+    """x1..x22 for one player over the points ``rows`` selects."""
+    player = side.player
+    won = side.won[rows]
+    m = won.size
+    x1 = float(won.sum())
+
+    win_times = side.durations[rows][won]
+    if win_times.size:
+        x2 = float(win_times.mean())
+    else:
+        _warn(f"player {player}: no points won in segment; x2/x3 set to 0")
+        x2 = 0.0
+    if win_times.size >= 2:
+        x3 = float(np.diff(win_times).sum() / win_times.size)
+    else:
+        x3 = 0.0
+
+    scores = side.score[rows]
+    x4 = float(scores.mean())
+    x5 = float(scores.sum())
+    x6 = float((scores >= 40).sum() / m)
+
+    own_pw = side.points_won[rows]
+    total_pw = own_pw + side.opp_points_won[rows]
+    shares = np.zeros(m)
+    nonzero = total_pw > 0
+    if not nonzero.all():
+        _warn("running point totals of 0 encountered; affected shares set to 0")
+    shares[nonzero] = own_pw[nonzero] / total_pw[nonzero]
+    x7 = float(shares.mean())
+    x8 = float(shares.var())
+
+    has_serve = bool(side.serve_known[rows].all())
+    if has_serve:
+        serving = side.serving[rows]
+        first = side.first_serve[rows]
+        x9 = float((won & serving & first).sum())
+        x10 = float((won & serving & ~first).sum())
+    else:
+        _warn("server/serve_no unavailable; x9-x12 set to 0")
+        x9 = x10 = 0.0
+    if x9 + x10 > 0:
+        x11 = x9 / (x9 + x10)
+        x12 = x10 / (x9 + x10)
+    else:
+        if has_serve:
+            _warn(f"player {player}: no points won on serve; x11/x12 set to 0")
+        x11 = x12 = 0.0
+
+    events = side.events[:, rows]  # aces first, then x15..x20 in EVENT_FLAGS order
+    x13 = float(events[0].sum())
+    x14 = x1 / m
+    rates = (events[1:].sum(axis=1) / m).tolist()
+
+    dists = side.distance[rows]
+    dv = dists[~np.isnan(dists)]
+    if dv.size:
+        x21 = float(dv.mean())
+        x22 = float(dv.var())
+    else:
+        _warn(f"player {player}: no running-distance values; x21/x22 set to 0")
+        x21 = x22 = 0.0
+
+    return np.array(
+        [x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, *rates, x21, x22]
+    )
+
+
+# reference warning text -> DEGENERATE_KINDS key
+_REFERENCE_KINDS = {
+    "no points won in segment": "no_wins",
+    "running point totals of 0": "zero_totals",
+    "server/serve_no unavailable": "serve_unknown",
+    "no points won on serve": "no_serve_wins",
+    "no running-distance values": "no_distance",
+}
+
+
+def _reference(side, starts, ends):
+    """Oracle rows and, per kind, which ranges made the oracle warn."""
+    rows = []
+    kinds = {kind: [] for kind in _REFERENCE_KINDS.values()}
+    for start, end in zip(starts, ends):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows.append(_reference_segment_indicators(side, slice(start, end)))
+        seen = {kind for text, kind in _REFERENCE_KINDS.items()
+                if any(text in str(w.message) for w in caught)}
+        for kind, flags in kinds.items():
+            flags.append(kind in seen)
+    return np.array(rows), kinds
+
+
+def _assert_kernel_matches_reference(side, starts, ends):
+    matrix, degenerate = indicator_matrix(side, starts, ends)
+    expected, kinds = _reference(side, starts, ends)
+    mismatched = np.argwhere(matrix != expected)
+    assert mismatched.size == 0, [
+        (int(i), INDICATOR_NAMES[j], matrix[i, j], expected[i, j]) for i, j in mismatched[:5]
+    ]
+    assert {k: v.tolist() for k, v in degenerate.items()} == kinds
+
+
+def _bounds(timeline, segmentation):
+    keys = np.column_stack(
+        [timeline.arrays.set_no]
+        + ([timeline.arrays.game_no] if segmentation == "game" else [])
+    )
+    starts = [0] + [i for i in range(1, len(keys)) if (keys[i] != keys[i - 1]).any()]
+    return np.array(starts), np.array(starts[1:] + [len(keys)])
+
+
+def _windows(n, window):
+    ends = np.arange(window, n + 1)
+    return ends - window, ends
+
+
+@st.composite
+def timelines_for_kernel(draw):
+    """Ordered timelines with absent cells, zero running totals and idle games."""
+    n = draw(st.integers(1, 40))
+    optional = lambda values: st.one_of(st.none(), st.sampled_from(values))  # noqa: E731
+    # event flags are plain counts to the kernel: drawn in bulk from one seed
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flag_cells = rng.choice(np.array([None, 0, 1]), size=(n, 2 * len(EVENT_FLAGS)))
+    flag_names = [f"p{p}_{flag}" for p in (1, 2) for flag in EVENT_FLAGS]
+    records = []
+    set_no, game_no, clock = 1, 1, 0
+    for i in range(n):
+        step = draw(st.integers(0, 4)) if i else 0  # 1-3: next game, 4: next set
+        if step == 4:
+            set_no, game_no = set_no + 1, 1
+        elif step:
+            game_no += 1
+        # a clock that sometimes runs backwards gives zero durations
+        clock = max(0, clock + draw(st.integers(-20, 200)))
+        records.append(make_record(
+            elapsed_seconds=clock,
+            set_no=set_no,
+            game_no=game_no,
+            point_no=i + 1,
+            point_victor=draw(st.sampled_from((1, 2))),
+            p1_score=draw(st.sampled_from((0, 15, 30, 40, 55))),
+            p2_score=draw(st.sampled_from((0, 15, 30, 40, 55))),
+            p1_points_won=draw(st.integers(0, 3)),
+            p2_points_won=draw(st.integers(0, 3)),
+            server=draw(optional((1, 2))),
+            serve_no=draw(optional((1, 2))),
+            p1_distance_run=draw(st.none() | st.floats(0.0, 150.0)),
+            p2_distance_run=draw(st.none() | st.floats(0.0, 150.0)),
+            **dict(zip(flag_names, flag_cells[i].tolist())),
+        ))
+    return MatchTimeline("m1", tuple(records))
+
+
+@settings(max_examples=100, deadline=None)
+@given(timelines_for_kernel(), st.sampled_from((1, 2)), st.data())
+def test_kernel_matches_reference_bit_for_bit(timeline, player, data):
+    side = timeline.arrays.player(player)
+    n = len(timeline)
+    for segmentation in ("set", "game"):
+        _assert_kernel_matches_reference(side, *_bounds(timeline, segmentation))
+    window = data.draw(st.integers(1, n), label="window")
+    _assert_kernel_matches_reference(side, *_windows(n, window))
+
+
+def test_kernel_matches_reference_on_sample(timelines):
+    for tl in timelines:
+        for player in (1, 2):
+            side = tl.arrays.player(player)
+            for segmentation in ("set", "game"):
+                _assert_kernel_matches_reference(side, *_bounds(tl, segmentation))
+            # a whole match exceeds numpy's 128-element pairwise-sum block
+            for window in (5, 20, 60, len(tl)):
+                _assert_kernel_matches_reference(side, *_windows(len(tl), window))
+
+
+def test_kernel_blocks_split_into_chunks_give_the_same_bits(timelines, monkeypatch):
+    side = timelines[1].arrays.player(1)
+    bounds = _windows(len(timelines[1]), 20)
+    whole, _ = indicator_matrix(side, *bounds)
+    monkeypatch.setattr(indicators, "_BLOCK_CELLS", 50)  # 2 windows of 20 per block
+    chunked, _ = indicator_matrix(side, *bounds)
+    assert np.array_equal(whole, chunked)
+
+
+def test_compute_indicators_matches_reference_segments(timelines):
+    tl = timelines[0]
+    side = tl.arrays.player(2)
+    starts, ends = _bounds(tl, "game")
+    expected, _ = _reference(side, starts, ends)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        vectors = compute_indicators(tl, 2, "game")
+    assert vectors == [IndicatorVector(*row) for row in expected.tolist()]
+    assert len(segment_labels(tl, "game")) == len(vectors)
+
+
+def test_out_of_order_keys_are_rejected():
+    keys = [(1, 1), (1, 2), (1, 1), (2, 1)]
+    records = tuple(
+        make_record(match_id="m9", set_no=s, game_no=g, point_no=i + 1,
+                    elapsed_seconds=40 * (i + 1))
+        for i, (s, g) in enumerate(keys)
+    )
+    timeline = MatchTimeline("m9", records)
+    for call in (compute_indicators, lambda tl, _p, seg: segment_labels(tl, seg)):
+        with pytest.raises(ValueError, match=r"match 'm9'.*\(1, 1\) follows \(1, 2\)"):
+            call(timeline, 1, "game")
+    # the set key alone is in order
+    assert len(compute_indicators(timeline, 1, "set")) == 2
+    backwards = MatchTimeline("m9", tuple(
+        make_record(match_id="m9", set_no=s, point_no=i + 1) for i, s in enumerate((2, 1))
+    ))
+    with pytest.raises(ValueError, match="m9"):
+        compute_indicators(backwards, 1, "set")
+
+
+def test_degenerate_segments_warn_once_per_kind_with_count():
+    # player 1 wins nothing in games 1-3 and two points of game 4
+    timeline = make_timeline([2] * 12 + [1, 2, 1, 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compute_indicators(timeline, 1, "game")
+    no_wins = [str(w.message) for w in caught if "no points won in" in str(w.message)]
+    assert no_wins == ["player 1: no points won in 3 of 4 segments; x2/x3 set to 0"]
+    texts = [str(w.message) for w in caught]
+    assert len(texts) == len(set(t.split(" in ")[0] for t in texts))
+
+
+def test_momentum_series_does_not_warn_on_windows_without_wins():
+    timeline = make_timeline([2] * 8 + [1, 2, 1, 1] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DataQualityWarning)
+        series = momentum_series(timeline, 1, window=4)
+    assert len(series) == len(timeline) - 3
