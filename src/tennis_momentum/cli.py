@@ -463,13 +463,12 @@ def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     """One JSON per match: missing data, correlations, prediction quality."""
     tl = _select_match(timelines, config)
-    records = list(tl.records)
-    rates = missing_rate(records).rates
+    rates = missing_rate(tl.records).rates
     cv = config.cv_config()
     payload = {
         "match_id": tl.match_id,
-        "players": {"1": tl.records[0].player1, "2": tl.records[0].player2},
-        "points": len(records),
+        "players": dict(zip(("1", "2"), tl.players)),
+        "points": len(tl),
         "missing_rates": {k: v for k, v in sorted(rates.items())},
         "per_player": {},
     }

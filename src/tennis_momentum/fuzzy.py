@@ -230,7 +230,7 @@ def momentum_series(
         raise ValueError(f"player must be 1 or 2, got {player!r}")
     if hierarchy is None:
         hierarchy = FuzzyHierarchy()
-    n = len(timeline.records)
+    n = len(timeline)
     if not 1 <= window <= n:
         error = ValueError if window < 1 else InsufficientDataError
         raise error(f"window must be in [1, {n}], got {window}")
@@ -264,6 +264,7 @@ def momentum_series(
     _, grades = _grade(u)
     points = []
     a = hierarchy.first_level_weights
+    elapsed = timeline.arrays.elapsed[window - 1 :].astype(int).tolist()
     for t in range(u.shape[0]):
         offset = 0
         b_rows = []
@@ -272,10 +273,9 @@ def momentum_series(
             b_rows.append(first_level_eval(weights[g], rows))
             offset += len(group_names)
         b = second_level_eval(a, np.asarray(b_rows))
-        record = timeline.records[window - 1 + t]
         points.append(
             MomentumPoint(
-                elapsed_seconds=record.elapsed_seconds,
+                elapsed_seconds=elapsed[t],
                 player=player,
                 score=momentum_score(b),
             )

@@ -127,6 +127,8 @@ def _sq_distances(train_x: np.ndarray, query_x: np.ndarray) -> np.ndarray:
 
 # Kernel weights per chunk of sigmas: at most 2**16 weights (512 KB).
 _KERNEL_WEIGHTS = 1 << 16
+# exp is exactly 0 below this exponent, but far slower there than above -708
+_EXP_ZERO_BELOW = -746.0
 
 
 def _kernel_average(
@@ -147,8 +149,12 @@ def _kernel_average(
         scale = np.array([2.0 * s**2 for s in sigmas[start : start + step]])
         w = buf[: len(scale)]
         np.divide(neg, scale[:, None, None], out=w)
-        with np.errstate(under="ignore"):
+        # weights that exp would make 0 are set to 0 around the call
+        zero = w < _EXP_ZERO_BELOW
+        np.putmask(w, zero, 0.0)
+        with np.errstate(under="ignore"):  # the subnormal band above -746
             np.exp(w, out=w)
+        np.putmask(w, zero, 0.0)
         denom = w.sum(axis=2)
         ok = denom > 0.0
         preds = out[start : start + len(scale)]

@@ -13,7 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -85,29 +85,73 @@ class PointRecord:
     return_depth: str | None = None
 
 
-@dataclass(frozen=True)
 class MatchTimeline:
-    """Ordered, non-empty sequence of points belonging to one match."""
+    """Ordered, non-empty sequence of points belonging to one match.
 
-    match_id: str
-    records: tuple[PointRecord, ...]
+    ``MatchTimeline(match_id, records)`` takes the points as records and
+    extracts ``arrays`` from them on first use. ``load_matches`` builds its
+    timelines from parsed columns instead: ``arrays`` comes straight from
+    the columns, and ``records`` is built on first access, then cached.
+    ``players`` holds the names of the first point's players. Treat a
+    timeline as immutable.
+    """
 
-    def __post_init__(self):
-        if not self.records:
-            raise EmptyInputError(f"timeline {self.match_id!r} has no records")
-        for r in self.records:
-            if r.match_id != self.match_id:
+    def __init__(self, match_id: str, records: Sequence[PointRecord]):
+        records = tuple(records)
+        if not records:
+            raise EmptyInputError(f"timeline {match_id!r} has no records")
+        for r in records:
+            if r.match_id != match_id:
                 raise ValueError(
-                    f"record match_id {r.match_id!r} != timeline {self.match_id!r}"
+                    f"record match_id {r.match_id!r} != timeline {match_id!r}"
                 )
+        self.match_id = match_id
+        self.players = (records[0].player1, records[0].player2)
+        self._length = len(records)
+        self.records = records
 
-    def __len__(self):
-        return len(self.records)
+    @classmethod
+    def _from_columns(
+        cls, match_id: str, players: tuple[str, str], columns: list[list],
+        rows: np.ndarray, arrays: MatchArrays,
+    ) -> MatchTimeline:
+        """A loaded timeline: ``columns`` hold every parsed row's values, one
+        list per ``PointRecord`` field, and ``rows`` picks this match's
+        points from them in order."""
+        timeline = cls.__new__(cls)
+        timeline.match_id = match_id
+        timeline.players = players
+        timeline._length = len(rows)
+        timeline._columns, timeline._rows = columns, rows
+        timeline.arrays = arrays
+        return timeline
+
+    @cached_property
+    def records(self) -> tuple[PointRecord, ...]:
+        """The points, built from the parsed columns on first access."""
+        rows = self._rows.tolist()
+        picked = [list(map(column.__getitem__, rows)) for column in self._columns]
+        del self._columns, self._rows
+        return tuple(map(PointRecord, *picked))
 
     @cached_property
     def arrays(self) -> MatchArrays:
         """The numeric columns of ``records``, extracted on first use."""
         return MatchArrays.from_records(self.records)
+
+    def __len__(self):
+        return self._length
+
+    def __eq__(self, other):
+        if not isinstance(other, MatchTimeline):
+            return NotImplemented
+        return self.match_id == other.match_id and self.records == other.records
+
+    def __hash__(self):
+        return hash((self.match_id, self.records))
+
+    def __repr__(self):
+        return f"MatchTimeline({self.match_id!r}, {self._length} points)"
 
 
 # Per-player event flags, as field suffixes after "p1_" / "p2_".
@@ -136,9 +180,18 @@ class PlayerColumns:
     distance: np.ndarray        # NaN where absent
 
 
+# PointRecord fields behind MatchArrays, one row each of its float matrix
+_ARRAY_FIELDS = (
+    "elapsed_seconds", "point_victor", "set_no", "game_no", "server", "serve_no",
+    *(f"p{p}_{name}" for name in ("sets", "score", "points_won", "distance_run")
+      for p in (1, 2)),
+    *(f"p{p}_{flag}" for p in (1, 2) for flag in EVENT_FLAGS),
+)
+
+
 @dataclass(frozen=True)
 class MatchArrays:
-    """Numeric columns of a point sequence, extracted once from its records.
+    """Numeric columns of a point sequence, extracted once.
 
     Per-player columns have a leading axis of 2, index 0 for player 1.
     Absent event flags read as 0; absent distances, servers and serve
@@ -148,6 +201,7 @@ class MatchArrays:
     ``MatchTimeline``.
     """
 
+    elapsed: np.ndarray      # seconds since the start, as in the records
     victor: np.ndarray       # 1 or 2
     durations: np.ndarray
     set_no: np.ndarray       # int
@@ -165,30 +219,29 @@ class MatchArrays:
     def from_records(cls, records: Sequence[PointRecord]) -> MatchArrays:
         if not records:
             raise EmptyInputError("MatchArrays needs at least one record")
+        return cls._from_matrix(np.array([_column(records, f) for f in _ARRAY_FIELDS]))
 
-        column = partial(_column, records)
-
-        def both(name):
-            return np.array([column(f"p1_{name}"), column(f"p2_{name}")])
-
-        elapsed = column("elapsed_seconds")
-        server = column("server")
-        serve_no = column("serve_no")
+    @classmethod
+    def _from_matrix(cls, matrix: np.ndarray) -> MatchArrays:
+        """From a float matrix of ``_ARRAY_FIELDS`` rows, None as NaN; the
+        arrays are views of it where they can be, so it must not be shared."""
+        elapsed, victor, set_no, game_no, server, serve_no = matrix[:6]
+        events = matrix[14:].reshape(2, len(EVENT_FLAGS), -1)
+        np.nan_to_num(events, copy=False, nan=0.0)
         arrays = cls(
-            victor=column("point_victor"),
+            elapsed=elapsed,
+            victor=victor,
             durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
-            set_no=column("set_no").astype(int),
-            game_no=column("game_no").astype(int),
+            set_no=set_no.astype(int),
+            game_no=game_no.astype(int),
             server=server,
             serve_no=serve_no,
             serve_known=~(np.isnan(server) | np.isnan(serve_no)),
-            sets=both("sets"),
-            score=both("score"),
-            points_won=both("points_won"),
-            distance=both("distance_run"),
-            events=np.nan_to_num(
-                np.stack([both(flag) for flag in EVENT_FLAGS], axis=1), nan=0.0
-            ),
+            sets=matrix[6:8],
+            score=matrix[8:10],
+            points_won=matrix[10:12],
+            distance=matrix[12:14],
+            events=events,
         )
         for array in vars(arrays).values():
             array.flags.writeable = False
@@ -289,12 +342,13 @@ _FIELD_FOR_COLUMN = {c: f for c, f, _ in _COLUMN_SPEC}
 _get_csv_fields = attrgetter(*_FIELD_FOR_COLUMN.values())
 
 _OPTIONAL_KINDS = {"opt_one_or_two", "opt_float", "opt_str", "flag"}
+_TEXT_KINDS = frozenset({"str", "opt_str"})
 REQUIRED_COLUMNS = tuple(
     c for c, _, k in _COLUMN_SPEC if k not in _OPTIONAL_KINDS
 )
 OPTIONAL_COLUMNS = tuple(c for c, _, k in _COLUMN_SPEC if k in _OPTIONAL_KINDS)
 
-_TEXT_FIELDS = frozenset(f for _, f, k in _COLUMN_SPEC if k in {"str", "opt_str"})
+_TEXT_FIELDS = frozenset(f for _, f, k in _COLUMN_SPEC if k in _TEXT_KINDS)
 # Numeric fields usable in the imputation distance, in schema order.
 _NUMERIC_FIELDS = [f for _, f, _ in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
@@ -375,11 +429,187 @@ _PARSERS = {
 }
 
 
+# Column parsers: one per kind, over a whole column of raw (unstripped)
+# cells. Each returns the values ``_PARSERS`` would give, and for numeric
+# kinds the same values as floats (None as NaN). They take only the common
+# spellings and raise ValueError, KeyError or OverflowError on anything
+# else, valid or not; the cell parsers then handle the rows.
+def _column_text(required: bool):
+    def parse(cells):
+        values = list(map(str.strip, cells))
+        if required and "" in values:
+            raise ValueError("empty required text field")
+        return values, None
+
+    return parse
+
+
+def _column_ints(allowed):
+    def parse(cells):
+        values = list(map(int, cells))
+        floats = np.array(values, dtype=float)
+        if not allowed(floats).all():
+            raise ValueError("out of range")
+        return values, floats
+
+    return parse
+
+
+def _column_tokens(table: dict):
+    def parse(cells):
+        values = list(map(table.__getitem__, cells))
+        return values, np.array(values, dtype=float)
+
+    return parse
+
+
+def _column_elapsed(cells):
+    parts = [cell.split(":") for cell in cells]
+    if set(map(len, parts)) != {3}:
+        raise ValueError("not h:mm:ss")
+    h, m, s = (np.array(list(map(int, part)), dtype=float) for part in zip(*parts))
+    # below 2**32 hours the float sums are exact
+    if not ((h >= 0) & (h < 2**32) & (m >= 0) & (m < 60) & (s >= 0) & (s < 60)).all():
+        raise ValueError("out of range")
+    floats = h * 3600 + m * 60 + s
+    return floats.astype(np.int64).tolist(), floats
+
+
+def _column_optional_floats(cells):
+    if "" in cells:
+        values = [float(cell) if cell else None for cell in cells]
+    else:
+        values = list(map(float, cells))
+    floats = np.array(values, dtype=float)
+    # absent cells are NaN and fail the test, so count the present ones
+    valid = np.count_nonzero((floats >= 0) & (floats < np.inf))
+    if valid != len(values) - values.count(None):
+        raise ValueError("must be a non-negative finite number")
+    return values, floats
+
+
+_COLUMN_PARSERS = {
+    "str": _column_text(required=True),
+    "opt_str": _column_text(required=False),
+    "elapsed": _column_elapsed,
+    "posint": _column_ints(lambda x: x > 0),
+    "nonnegint": _column_ints(lambda x: x >= 0),
+    "score": _column_tokens(SCORE_POINTS),
+    "one_or_two": _column_tokens({"1": 1, "2": 2}),
+    "opt_one_or_two": _column_tokens({"1": 1, "2": 2, "": None}),
+    "opt_float": _column_optional_floats,
+    "flag": _column_tokens({"0": 0, "1": 1, "": None}),
+}
+
+# Rows read and parsed together: bounds the raw cells held at once.
+_BLOCK_ROWS = 1024
+# Fields kept as floats while loading: the arrays', then the point number.
+_FLOAT_FIELDS = (*_ARRAY_FIELDS, "point_no")
+
+
+class _ParsedColumns:
+    """The parsed cells of a file's kept rows, gathered block by block.
+
+    ``plan`` lists (field, cell index, kind) in schema order. Values are kept
+    per field in file order, as Python objects for the records (equal text
+    shares one string) and as floats for the numeric fields.
+    """
+
+    def __init__(self, plan, width: int):
+        self.plan = plan
+        self.width = width
+        self.numbers: list[int] = []  # file row number of each kept row
+        self.values = {field: [] for field, _, _ in plan}
+        self.floats: list[np.ndarray] = []  # per block, the _FLOAT_FIELDS rows
+        self.text = {"": None}  # one string per distinct text; absent reads None
+
+    def add(self, block: list[list[str]], numbers: list[int]) -> None:
+        """Parse the next kept rows of the file, with their row numbers."""
+        if not block:
+            return
+        if min(map(len, block)) < self.width:  # missing trailing cells read as empty
+            block = [row + [""] * (self.width - len(row)) for row in block]
+        cells = list(zip(*block))
+        try:
+            parsed = [_COLUMN_PARSERS[kind](cells[index]) for _, index, kind in self.plan]
+        except (ValueError, KeyError, OverflowError):
+            parsed = self._parse_rows(block, numbers)
+        numeric = {}
+        for (field, _, kind), (values, floats) in zip(self.plan, parsed):
+            if kind in _TEXT_KINDS:
+                values = list(map(self.text.setdefault, values, values))
+            numeric[field] = floats
+            self.values[field].extend(values)
+        nan = np.full(len(block), np.nan)  # an optional column missing from the header
+        self.floats.append(np.stack([numeric.get(f, nan) for f in _FLOAT_FIELDS]))
+        self.numbers.extend(numbers)
+
+    def _parse_rows(self, block, numbers):
+        """Parse cell by cell, raising at the first bad cell in row order."""
+        rows = []
+        for number, row in zip(numbers, block):
+            values = []
+            try:
+                for field, index, kind in self.plan:
+                    cell = row[index].strip()
+                    values.append(_PARSERS[kind](cell))
+            except ValueError as exc:
+                raise RowParseError(number, f"bad {field} value {cell!r}: {exc}") from exc
+            rows.append(values)
+        return [
+            (list(values), None if kind in _TEXT_KINDS else np.array(values, dtype=float))
+            for values, (_, _, kind) in zip(zip(*rows), self.plan)
+        ]
+
+    def timelines(self) -> list[MatchTimeline]:
+        """One timeline per match id, sorted by id; points by (set, game, point)."""
+        ids = self.values["match_id"]
+        n = len(ids)
+        numbers = np.array(self.numbers)
+        matrix = np.concatenate(self.floats, axis=1)
+        self.floats.clear()  # before the per-match copies: lowers the peak
+        names = sorted(set(ids))
+        code = dict(zip(names, range(len(names))))
+        codes = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=n)
+        # stable: of two rows with one key, the later row comes second
+        keys = (matrix[-1], matrix[_ARRAY_FIELDS.index("game_no")],
+                matrix[_ARRAY_FIELDS.index("set_no")], codes)
+        order = np.lexsort(keys)
+        in_order = np.stack(keys)[:, order]
+        repeats = np.flatnonzero((in_order[:, 1:] == in_order[:, :-1]).all(axis=0))
+        if repeats.size:
+            a, b = order[repeats[0]], order[repeats[0] + 1]
+            key_b = tuple(self.values[f][b] for f in ("set_no", "game_no", "point_no"))
+            raise RowParseError(
+                int(numbers[b]),
+                f"match {ids[b]}: duplicate point key {key_b} "
+                f"(rows {numbers[a]} and {numbers[b]})",
+            )
+
+        absent = [None] * n  # an optional column missing from the header
+        columns = [self.values.get(field, absent) for field in _RECORD_FIELDS]
+        player1, player2 = self.values["player1"], self.values["player2"]
+        starts = np.flatnonzero(np.diff(codes[order])) + 1
+        return [
+            MatchTimeline._from_columns(
+                name, (player1[rows[0]], player2[rows[0]]), columns, rows,
+                MatchArrays._from_matrix(matrix[:-1, rows]),
+            )
+            for name, rows in zip(names, np.split(order, starts))
+        ]
+
+
 def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTimeline]:
     """Read a point-by-point CSV into one ordered timeline per match.
 
     Records are sorted by (set_no, game_no, point_no); duplicate keys within
-    a match are rejected. Timelines come back sorted by match id.
+    a match are rejected. Timelines come back sorted by match id. The file
+    is parsed column by column, in blocks of rows; each timeline's
+    ``arrays`` are built from the columns, its ``records`` on first access.
+
+    Errors name the first bad row in file order, and in that row the first
+    bad field in schema order. A bad cell wins over malformed CSV on a later
+    line, and over a duplicate key anywhere.
 
     With ``match_id`` only that match is parsed: rows of other matches are
     skipped on their stripped ``match_id`` cell, so their other cells and
@@ -389,14 +619,13 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
     ``UnknownMatchError``, which lists the ids present.
     """
     path = Path(path)
-    by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
-    skipped: set[str] = set()  # match ids of the rows left unparsed
-    row_number = None  # until the header is read
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            row_number = 0
+            try:
+                header = next(reader, [])
+            except csv.Error as exc:
+                raise DataError(f"{path}: malformed CSV header: {exc}") from exc
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise SchemaError(missing)
@@ -410,62 +639,44 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
             # a repeated column reads its last occurrence
             position = {c: i for i, c in enumerate(header)}
             plan = [
-                (field, position[c], _PARSERS[kind])
+                (field, position[c], kind)
                 for c, field, kind in _COLUMN_SPEC
                 if c in position
             ]
+            parsed = _ParsedColumns(plan, len(header))
             id_index = position["match_id"]
-            # blank lines are skipped and not counted
-            for row_number, row in enumerate(filter(None, reader), start=1):
-                if len(row) < len(header):  # missing trailing cells read as empty
-                    row += [""] * (len(header) - len(row))
-                if match_id is not None:
-                    row_id = row[id_index].strip()
-                    if row_id != match_id:
-                        skipped.add(row_id)
-                        continue
-                values = {}
-                try:
-                    for field, index, parse in plan:
-                        cell = row[index].strip()
-                        values[field] = parse(cell)
-                except ValueError as exc:
-                    raise RowParseError(
-                        row_number, f"bad {field} value {cell!r}: {exc}"
-                    ) from exc
-                r = PointRecord(**values)
-                key = (r.set_no, r.game_no, r.point_no)
-                by_match.setdefault(r.match_id, []).append((key, row_number, r))
-    except csv.Error as exc:
-        if row_number is None:
-            raise DataError(f"{path}: malformed CSV header: {exc}") from exc
-        # raised while reading the row after the last one numbered
-        raise RowParseError(row_number + 1, f"malformed CSV: {exc}") from exc
+            skipped: set[str] = set()  # match ids of the rows left unparsed
+            block, numbers = [], []
+            number = 0
+            try:
+                # blank lines are skipped and not counted
+                for number, row in enumerate(filter(None, reader), start=1):
+                    if match_id is not None:
+                        row_id = row[id_index].strip() if id_index < len(row) else ""
+                        if row_id != match_id:
+                            skipped.add(row_id)
+                            continue
+                    block.append(row)
+                    numbers.append(number)
+                    if len(block) == _BLOCK_ROWS:
+                        parsed.add(block, numbers)
+                        block, numbers = [], []
+            except csv.Error as exc:
+                parsed.add(block, numbers)  # a bad cell before the malformed line wins
+                # raised while reading the row after the last one numbered
+                raise RowParseError(number + 1, f"malformed CSV: {exc}") from exc
+            parsed.add(block, numbers)
     except UnicodeDecodeError as exc:
         # no row number: the file is decoded in chunks ahead of the parser
         raise DataError(
             f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
             f"({exc.reason})"
         ) from exc
-
-    if not by_match:
+    if not parsed.numbers:
         if not skipped:
             raise EmptyInputError(f"{path} contains no data rows")
         raise UnknownMatchError(match_id, sorted(skipped - {""}))
-
-    timelines = []
-    for mid in sorted(by_match):
-        # stable: of two rows with one key, the later row comes second
-        rows = sorted(by_match[mid], key=lambda item: item[0])
-        for (key_a, row_a, _), (key_b, row_b, _) in zip(rows, rows[1:]):
-            if key_a == key_b:
-                raise RowParseError(
-                    row_b,
-                    f"match {mid}: duplicate point key {key_b} "
-                    f"(rows {row_a} and {row_b})",
-                )
-        timelines.append(MatchTimeline(mid, tuple(r for _, _, r in rows)))
-    return timelines
+    return parsed.timelines()
 
 
 def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:

@@ -306,3 +306,44 @@ def test_config_file_unknown_key(tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("turbo = yes\n")
     assert run("clean", "--config", config, "--data", "x.csv") == 1
+
+
+# --- record laziness --------------------------------------------------------
+
+def _counted_record_builds(monkeypatch):
+    """A list that grows by one for every PointRecord the package builds."""
+    from tennis_momentum import ingest
+
+    builds = []
+    real = ingest.PointRecord
+
+    def counting(*args, **kwargs):
+        builds.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "PointRecord", counting)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["indicators", "evaluate", "correlate", "turning-points", "predict", "expand"],
+)
+def test_column_commands_build_no_records(dataset_path, tmp_path, monkeypatch, command):
+    builds = _counted_record_builds(monkeypatch)
+    scope = [] if command == "indicators" else ["--match", "2023-wimbledon-1304"]
+    assert run(command, "--data", dataset_path, "--out", tmp_path, *scope) == 0
+    assert builds == []
+
+
+def test_clean_builds_each_record_once(dataset_path, timelines, tmp_path, monkeypatch):
+    from tennis_momentum.ingest import flatten_timelines, impute_missing
+
+    records = flatten_timelines(timelines)
+    cleaned = impute_missing(records)
+    imputed = sum(a is not b for a, b in zip(records, cleaned))
+    assert imputed > 0
+    builds = _counted_record_builds(monkeypatch)
+    assert run("clean", "--data", dataset_path, "--out", tmp_path) == 0
+    # one per point when loaded, plus one per row imputation fills
+    assert len(builds) == len(records) + imputed

@@ -240,6 +240,14 @@ def _uniform(n, p, seed):
 @example((_spread(30, 3), np.array([0.0, 1.0, 1.0] * 10), _SIGMAS, 5, 1))
 # many folds: the fold mean is numpy's pairwise sum, not a running total
 @example((*_uniform(72, 3, 11), (0.05, 0.2, 0.8), 24, 1 << 16))
+# at the two smallest sigmas only the fold-edge rows keep weights: their next
+# neighbour's exponent is about -720 (subnormal) and -346, while every
+# farther weight lies below -746 and is zeroed without exp
+@example((_spread(20, 1), np.array([0.0, 1.0] * 10), (0.00139, 0.002, 0.01, 0.3), 5,
+          1 << 16))
+# scattered points: at sigma 0.004 half the rows keep some weights, at 0.01
+# every row does, and some weights of each fall in the subnormal band
+@example((*_uniform(72, 3, 11), (0.004, 0.01, 0.05, 0.3), 6, 1 << 16))
 def test_train_cv_matches_per_sigma_reference(problem):
     x, y, grid, folds, budget = problem
     with mock.patch.object(grnn, "_KERNEL_WEIGHTS", budget):
@@ -247,6 +255,19 @@ def test_train_cv_matches_per_sigma_reference(problem):
     curve, sigma = _reference_cv_curve(normalized(x), y, grid, folds)
     assert model.cv_curve == curve
     assert model.sigma == sigma
+
+
+def test_exp_is_exactly_zero_below_the_kernel_cutoff():
+    # _kernel_average zeroes these weights instead of calling exp on them
+    cutoff = grnn._EXP_ZERO_BELOW
+    # the 200,000 floats just below the cutoff, then a sweep down to -1e6
+    just_below = cutoff - np.arange(1, 200_001) * np.spacing(-cutoff)
+    sweep = np.concatenate([
+        just_below, np.linspace(cutoff, -1e6, 1_000_001)[1:], [-1e300, -np.inf],
+    ])
+    assert (sweep < cutoff).all()
+    with np.errstate(under="ignore"):
+        assert not np.exp(sweep).any()
 
 
 def test_kernel_average_mixes_underflow_and_weighted_rows():

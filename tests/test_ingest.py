@@ -1,6 +1,9 @@
 import csv
+import io
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from tennis_momentum import (
     ImputationError,
     RowParseError,
     SchemaError,
+    UnknownMatchError,
     impute_missing,
     load_matches,
     missing_rate,
@@ -23,7 +27,14 @@ from tennis_momentum import (
 )
 from tennis_momentum import ingest
 from tennis_momentum.ingest import (
+    _COLUMN_SPEC,
+    _FIELD_FOR_COLUMN,
+    _PARSERS,
     CSV_COLUMNS,
+    OPTIONAL_COLUMNS,
+    REQUIRED_COLUMNS,
+    MatchArrays,
+    MatchTimeline,
     PointRecord,
     flatten_timelines,
     format_elapsed,
@@ -383,6 +394,306 @@ def test_load_inverts_points_csv_text(tmp_path, records, ad_token):
     _write_csv(path, records, ad_token=ad_token)
     expected = sorted(records, key=_point_key)
     assert flatten_timelines(load_matches(path)) == expected
+
+
+# --- loader oracle --------------------------------------------------------
+
+# Oracle: the row-by-row loader that the columnar one replaced, verbatim.
+# load_matches must give the same timelines, warnings and errors.
+def _reference_load_matches(path, match_id=None):
+    """Read a point-by-point CSV into one ordered timeline per match.
+
+    Records are sorted by (set_no, game_no, point_no); duplicate keys within
+    a match are rejected. Timelines come back sorted by match id.
+
+    With ``match_id`` only that match is parsed: rows of other matches are
+    skipped on their stripped ``match_id`` cell, so their other cells and
+    point keys are not validated. The CSV reader still scans the whole file,
+    so malformed CSV and undecodable bytes anywhere fail the load, and row
+    numbers count every data row. An id absent from the file raises
+    ``UnknownMatchError``, which lists the ids present.
+    """
+    path = Path(path)
+    by_match: dict[str, list[tuple[tuple, int, PointRecord]]] = {}
+    skipped: set[str] = set()  # match ids of the rows left unparsed
+    row_number = None  # until the header is read
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            row_number = 0
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(missing)
+            unknown = [c for c in header if c not in _FIELD_FOR_COLUMN]
+            if unknown:
+                warnings.warn(
+                    f"ignoring unrecognised columns: {', '.join(unknown)}",
+                    DataQualityWarning,
+                    stacklevel=2,
+                )
+            # a repeated column reads its last occurrence
+            position = {c: i for i, c in enumerate(header)}
+            plan = [
+                (field, position[c], _PARSERS[kind])
+                for c, field, kind in _COLUMN_SPEC
+                if c in position
+            ]
+            id_index = position["match_id"]
+            # blank lines are skipped and not counted
+            for row_number, row in enumerate(filter(None, reader), start=1):
+                if len(row) < len(header):  # missing trailing cells read as empty
+                    row += [""] * (len(header) - len(row))
+                if match_id is not None:
+                    row_id = row[id_index].strip()
+                    if row_id != match_id:
+                        skipped.add(row_id)
+                        continue
+                values = {}
+                try:
+                    for field, index, parse in plan:
+                        cell = row[index].strip()
+                        values[field] = parse(cell)
+                except ValueError as exc:
+                    raise RowParseError(
+                        row_number, f"bad {field} value {cell!r}: {exc}"
+                    ) from exc
+                r = PointRecord(**values)
+                key = (r.set_no, r.game_no, r.point_no)
+                by_match.setdefault(r.match_id, []).append((key, row_number, r))
+    except csv.Error as exc:
+        if row_number is None:
+            raise DataError(f"{path}: malformed CSV header: {exc}") from exc
+        # raised while reading the row after the last one numbered
+        raise RowParseError(row_number + 1, f"malformed CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # no row number: the file is decoded in chunks ahead of the parser
+        raise DataError(
+            f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+            f"({exc.reason})"
+        ) from exc
+
+    if not by_match:
+        if not skipped:
+            raise EmptyInputError(f"{path} contains no data rows")
+        raise UnknownMatchError(match_id, sorted(skipped - {""}))
+
+    timelines = []
+    for mid in sorted(by_match):
+        # stable: of two rows with one key, the later row comes second
+        rows = sorted(by_match[mid], key=lambda item: item[0])
+        for (key_a, row_a, _), (key_b, row_b, _) in zip(rows, rows[1:]):
+            if key_a == key_b:
+                raise RowParseError(
+                    row_b,
+                    f"match {mid}: duplicate point key {key_b} "
+                    f"(rows {row_a} and {row_b})",
+                )
+        timelines.append(MatchTimeline(mid, tuple(r for _, _, r in rows)))
+    return timelines
+
+
+def _outcome(load, path, match_id):
+    """What a loader did: (warnings, error class and message, timelines)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            timelines = load(path, match_id)
+        except Exception as exc:
+            return [str(w.message) for w in caught], (type(exc), str(exc)), None
+    loaded = [
+        # repr tells 1 from 1.0 and Python numbers from NumPy scalars
+        (tl.match_id, len(tl), tl.players, repr(tl.records),
+         [getattr(tl.arrays, f.name) for f in fields(MatchArrays)])
+        for tl in timelines
+    ]
+    return [str(w.message) for w in caught], None, loaded
+
+
+def _agree(tmp_path, text, match_id=None, block_rows=1024, field_limit=None):
+    """Load ``text`` with both loaders; assert they agree and return the outcome."""
+    path = tmp_path / "oracle.csv"
+    path.write_bytes(text.encode("utf-8"))
+    limit = csv.field_size_limit(field_limit or csv.field_size_limit())
+    try:
+        expected = _outcome(_reference_load_matches, path, match_id)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            actual = _outcome(load_matches, path, match_id)
+    finally:
+        csv.field_size_limit(limit)
+    assert actual[:2] == expected[:2]
+    if expected[2] is not None:
+        assert len(actual[2]) == len(expected[2])
+        for got, want in zip(actual[2], expected[2]):
+            assert got[:4] == want[:4]
+            for a, b in zip(got[4], want[4]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b, equal_nan=True)
+    return actual
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _rows(records, ad_token=False):
+    return list(csv.reader(io.StringIO(points_csv_text(records, ad_token=ad_token))))
+
+
+def _set_cell(rows, row, column, value):
+    rows[row][rows[0].index(column)] = value
+    return rows
+
+
+# Per kind: bad cells, and valid cells in unusual spellings
+_ODD_CELLS = {
+    "str": ["", " ", " m1 "],
+    "opt_str": ["", " ", " W "],
+    "elapsed": ["1:2", "1:2:3:4", "0:60:00", "0:00:60", "-1:00:00", "x:00:00", "",
+                " 0:01:02 ", "0:1:2", "+1:00:05", "1_0:00:00"],
+    "posint": ["0", "-1", "x", "", "1.5", "nan", " 1", "+1", "01", "1_0", "\u0663"],
+    "nonnegint": ["-1", "x", "", "1e2", " 0", "-0", "400"],
+    "score": ["7", "", "ad", " AD", "55", " 15 ", "015"],
+    "one_or_two": ["0", "3", "", "1.0", " 2", "+1", "01"],
+    "opt_one_or_two": ["0", "3", "x", " ", "02", " 1 "],
+    "opt_float": ["-1", "nan", "inf", "-inf", "x", " ", "-0", "1e2", " 1.5", "1_0.5"],
+    "flag": ["2", "-1", "x", " ", " 1", "00", "+0"],
+}
+_ALL_ODD = sorted({cell for cells in _ODD_CELLS.values() for cell in cells})
+_KIND = {c: k for c, _, k in _COLUMN_SPEC}
+_LONG_CELL = "W" * 100  # over the field limit the property sets: malformed CSV
+
+
+@st.composite
+def _loader_cases(draw):
+    """A CSV text built from records, then damaged; a scope; a block size."""
+    records = draw(st.lists(_records, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):  # repeated point keys
+        records.append(draw(st.sampled_from(records)))
+    rows = _rows(records, ad_token=draw(st.booleans()))
+    dropped = draw(st.sets(st.sampled_from(OPTIONAL_COLUMNS), max_size=3))
+    keep = [i for i, c in enumerate(rows[0]) if c not in dropped]
+    rows = [[row[i] for i in keep] for row in rows]
+    if draw(st.booleans()):  # a repeated column, anywhere: the last one is read
+        column = draw(st.sampled_from(rows[0]))
+        at = draw(st.integers(0, len(rows[0])))
+        rows[0].insert(at, column)
+        for row in rows[1:]:
+            row.insert(at, draw(st.sampled_from(_ODD_CELLS[_KIND[column]])))
+    if draw(st.booleans()):
+        rows = [rows[0] + ["unknown"]] + [row + ["1"] for row in rows[1:]]
+    cells = st.tuples(st.integers(1, len(rows) - 1), st.integers(0, len(rows[0]) - 1))
+    for r, c in draw(st.lists(cells, max_size=3)):
+        rows[r][c] = draw(st.sampled_from(_ODD_CELLS.get(_KIND.get(rows[0][c]), _ALL_ODD)))
+    for r in draw(st.lists(st.integers(1, len(rows) - 1), max_size=2)):
+        rows[r] = rows[r][: draw(st.integers(0, len(rows[r])))]  # short, or blank
+    for r in draw(st.lists(st.integers(1, len(rows) - 1), max_size=2)):
+        rows[r] = rows[r] + ["extra"]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(1, len(rows))), [])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(1, len(rows))), ["m1", _LONG_CELL])
+    match_id = draw(st.sampled_from([None, "m1", "m2", "2023-wimbledon-1304", "nope"]))
+    return _csv_text(rows), match_id, draw(st.sampled_from([1, 2, 3, 1024]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_loader_cases())
+def test_load_matches_agrees_with_row_loader(tmp_path, case):
+    text, match_id, block_rows = case
+    _agree(tmp_path, text, match_id, block_rows, field_limit=64)
+
+
+def _three_points():
+    return _rows([make_record(point_no=i, elapsed_seconds=40 * i) for i in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 1024])
+def test_loaders_agree_on_blank_lines_and_short_rows(tmp_path, block_rows):
+    rows = _three_points()
+    keep = CSV_COLUMNS.index("p1_distance_run")
+    rows = [rows[0], [], rows[1][:keep], [], [], rows[2], rows[3][:-1]]
+    _, error, loaded = _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+    assert error is None and loaded[0][1] == 3
+
+
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_loaders_agree_on_a_repeated_column(tmp_path, block_rows):
+    rows = _three_points()
+    rows = [["point_victor"] + rows[0]] + [["9"] + row for row in rows[1:]]
+    assert _agree(tmp_path, _csv_text(rows), block_rows=block_rows)[1] is None
+    rows = [row + [cell] for row, cell in zip(rows, ["point_victor", "1", "2", "9"])]
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+    assert error == (RowParseError, "row 3: bad point_victor value '9': must be 1 or 2")
+
+
+@pytest.mark.parametrize(
+    "column,cell",
+    [(next(c for c, _, k in _COLUMN_SPEC if k == kind), cell)
+     for kind, cells in _ODD_CELLS.items() for cell in cells],
+)
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_loaders_agree_on_each_odd_cell_of_each_kind(tmp_path, column, cell, block_rows):
+    rows = _set_cell(_three_points(), 2, column, cell)
+    _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+
+
+@pytest.mark.parametrize(
+    "column,kind", [(c, k) for c, _, k in _COLUMN_SPEC if k != "opt_str"]
+)
+def test_loaders_agree_on_a_bad_cell_in_each_column(tmp_path, column, kind):
+    rows = _set_cell(_three_points(), 2, column, _ODD_CELLS[kind][0])
+    _, error, _ = _agree(tmp_path, _csv_text(rows))
+    assert error[0] is RowParseError
+    assert error[1].startswith(f"row 2: bad {_FIELD_FOR_COLUMN[column]} value ")
+    if column != "match_id":  # a blank id is another match's row when scoped
+        assert _agree(tmp_path, _csv_text(rows), match_id="m1")[1] == error
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 1024])
+def test_loaders_agree_on_two_bad_cells(tmp_path, block_rows):
+    # the later column's bad cell is on the earlier row, and wins
+    rows = _set_cell(_three_points(), 1, "return_depth", "")
+    rows = _set_cell(rows, 2, "speed_mph", "nan")
+    rows = _set_cell(rows, 2, "set_no", "0")
+    rows = _set_cell(rows, 1, "p2_score", "7")
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+    assert error == (
+        RowParseError, "row 1: bad p2_score value '7': unknown score token '7'"
+    )
+
+
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_loaders_agree_on_duplicate_keys(tmp_path, block_rows):
+    rows = _three_points()
+    rows = rows + [rows[3], _set_cell([rows[0], list(rows[1])], 1, "match_id", "m0")[1]]
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+    assert error == (RowParseError, "row 4: match m1: duplicate point key (1, 1, 3) "
+                                    "(rows 3 and 4)")
+    # a bad cell anywhere wins over the duplicate
+    rows = _set_cell(rows, 5, "serve_no", "3")
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows)
+    assert error[1].startswith("row 5: bad serve_no value '3'")
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 1024])
+def test_loaders_agree_on_malformed_csv_after_a_bad_cell(tmp_path, block_rows):
+    rows = _three_points()
+    rows.insert(3, ["m1", _LONG_CELL])
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows, field_limit=64)
+    assert error[0] is RowParseError and error[1].startswith("row 3: malformed CSV")
+    rows = _set_cell(rows, 2, "p1_ace", "x")
+    _, error, _ = _agree(tmp_path, _csv_text(rows), block_rows=block_rows, field_limit=64)
+    assert error[1].startswith("row 2: bad p1_ace value 'x'")
+
+
+def test_loaders_agree_on_a_scope_with_no_rows(tmp_path):
+    rows = _three_points()
+    _, error, _ = _agree(tmp_path, _csv_text(rows), match_id="nope")
+    assert error == (UnknownMatchError, "unknown match id 'nope'; available: m1")
 
 
 # --- missing rates --------------------------------------------------------
