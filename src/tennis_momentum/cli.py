@@ -372,6 +372,15 @@ def _prediction_inputs(tl: MatchTimeline, player: int, config: RunConfig):
     return samples, x, y
 
 
+def _baseline_fit(tl: MatchTimeline, player: int, config: RunConfig, cv: grnn.CvConfig):
+    """Fit the GRNN on the chronological training prefix; score the rest."""
+    samples, x, y = _prediction_inputs(tl, player, config)
+    split = grnn.chronological_split(len(y), config.split_fraction)
+    model = grnn.train_cv(x[:split], y[:split], cv)
+    report = grnn.evaluate(model, x[split:], y[split:], config.threshold)
+    return samples, split, model, report
+
+
 def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
     paths = []
@@ -379,18 +388,14 @@ def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]
     digest = config.digest()
     cv = config.cv_config()
     for player in _players(config):
-        _, x, y = _prediction_inputs(tl, player, config)
-        split = grnn.chronological_split(len(y), config.split_fraction)
-        model = grnn.train_cv(x[:split], y[:split], cv)
-        report = grnn.evaluate(model, x[split:], y[split:], config.threshold)
-
+        _, split, model, report = _baseline_fit(tl, player, config, cv)
         payload = {
             "match_id": tl.match_id,
             "player": player,
             "sigma": model.sigma,
             "threshold": config.threshold,
             "n_train": int(split),
-            "n_test": int(len(y) - split),
+            "n_test": len(report.predictions),
             "mse": report.mse,
             "acc": report.acc,
             "cv_curve": [list(pair) for pair in model.cv_curve],
@@ -473,15 +478,12 @@ def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
         "per_player": {},
     }
     for player in _players(config):
-        samples, x, y = _prediction_inputs(tl, player, config)
+        samples, _, model, report = _baseline_fit(tl, player, config, cv)
         corr = momentum.correlation_matrix(samples)
         omega_row = {
             label: (None if np.isnan(corr.r[-1, i]) else float(corr.r[-1, i]))
             for i, label in enumerate(corr.labels[:-1])
         }
-        split = grnn.chronological_split(len(y), config.split_fraction)
-        model = grnn.train_cv(x[:split], y[:split], cv)
-        report = grnn.evaluate(model, x[split:], y[split:], config.threshold)
         payload["per_player"][str(player)] = {
             "omega_correlations": omega_row,
             "baseline": {"mse": report.mse, "acc": report.acc, "sigma": model.sigma},

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataQualityWarning, DegenerateRangeError, InsufficientDataError
-from .indicators import INDICATOR_NAMES, indicator_matrix, normalize_minmax, positivize
+from .errors import DataQualityWarning, InsufficientDataError
+from .indicators import INDICATOR_NAMES, indicator_matrix, normalize_minmax
 from .ingest import MatchTimeline
 
 COMMENT_GRADES = (
@@ -166,50 +166,55 @@ def entropy_weights(matrix: np.ndarray) -> np.ndarray:
 
 
 def first_level_eval(group_weights: Sequence[float], rows: np.ndarray) -> np.ndarray:
-    """Weighted-average composition of one group's membership rows."""
+    """Weighted-average composition of one group's membership rows.
+
+    ``rows`` has shape ``(..., j, 7)``: one ``(j, 7)`` block per composition,
+    each composed as it would be alone. The result has shape ``(..., 7)``.
+    """
     w = np.asarray(group_weights, dtype=float)
     r = np.asarray(rows, dtype=float)
-    if r.ndim != 2 or r.shape[1] != 7:
+    if r.ndim < 2 or r.shape[-1] != 7:
         raise ValueError("rows must have shape (j, 7)")
-    if w.shape != (r.shape[0],):
+    if w.shape != (r.shape[-2],):
         raise ValueError("one weight per membership row is required")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("group weights must sum to 1")
-    return w @ r
+    return np.matmul(w, r)
 
 
 def second_level_eval(first_level_weights: Sequence[float], b_rows: np.ndarray) -> np.ndarray:
-    """Compose the four group rows with the first-level weights; renormalize."""
+    """Compose the group rows with the first-level weights; renormalize.
+
+    ``b_rows`` has shape ``(..., groups, 7)``; the result ``(..., 7)``.
+    """
     a = np.asarray(first_level_weights, dtype=float)
     b = np.asarray(b_rows, dtype=float)
-    if b.ndim != 2 or b.shape[1] != 7:
+    if b.ndim < 2 or b.shape[-1] != 7:
         raise ValueError("b_rows must have shape (groups, 7)")
-    if a.shape != (b.shape[0],):
+    if a.shape != (b.shape[-2],):
         raise ValueError("one weight per group row is required")
-    out = a @ b
-    total = out.sum()
-    if total <= 0:
+    out = np.matmul(a, b)
+    total = out.sum(axis=-1, keepdims=True)
+    if (total <= 0).any():
         raise ValueError("composed membership row sums to zero")
     return out / total
 
 
-def momentum_score(b: Sequence[float]) -> float:
-    """Collapse a normalized 7-grade membership row to a score in [10, 100]."""
+def momentum_score(b: Sequence[float]) -> float | np.ndarray:
+    """Collapse normalized 7-grade membership rows to scores in [10, 100].
+
+    One row of shape ``(7,)`` gives a float; a stack ``(..., 7)`` gives an
+    array of shape ``(...)``.
+    """
     arr = np.asarray(b, dtype=float)
-    if arr.shape != (7,):
+    if arr.ndim < 1 or arr.shape[-1] != 7:
         raise ValueError("membership row must have 7 grades")
-    if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-9:
+    if (arr < 0).any() or (abs(arr.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("membership row must be normalized (non-negative, sum 1)")
-    return float(np.dot(GRADE_SCORE_WEIGHTS, arr))
-
-
-def _window_indicator_matrix(
-    timeline: MatchTimeline, player: int, window: int, hierarchy: FuzzyHierarchy
-) -> np.ndarray:
-    ends = np.arange(window, len(timeline) + 1)
-    # Degenerate windows (no points won, etc.) are routine here: flags unused.
-    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
-    return matrix[:, [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]]
+    # a stacked matmul gives each row the dot product it gets alone;
+    # a plain (n, 7) @ (7,) product rounds some rows differently
+    score = np.matmul(arr[..., None, :], GRADE_SCORE_WEIGHTS)[..., 0]
+    return float(score) if arr.ndim == 1 else score
 
 
 def momentum_series(
@@ -235,49 +240,33 @@ def momentum_series(
         error = ValueError if window < 1 else InsufficientDataError
         raise error(f"window must be in [1, {n}], got {window}")
 
-    matrix = _window_indicator_matrix(timeline, player, window, hierarchy)
+    ends = np.arange(window, n + 1)
+    # Degenerate windows (no points won, etc.) are routine here: flags unused.
+    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
     names = hierarchy.indicator_names
-
-    for j, name in enumerate(names):
-        if name in hierarchy.smaller_is_better:
-            try:
-                matrix[:, j] = positivize(matrix[:, j])
-            except DegenerateRangeError:
-                matrix[:, j] = 0.5
+    matrix = matrix[:, [INDICATOR_NAMES.index(name) for name in names]]
+    # min-max of -x is fl(max - x) / fl(max - min), positivize's value, and a
+    # constant column still normalizes to 0.5
+    matrix[:, [name in hierarchy.smaller_is_better for name in names]] *= -1.0
     u = normalize_minmax(matrix)
-
-    weights: list[np.ndarray] = []
-    offset = 0
-    for _, group_names in hierarchy.groups:
-        cols = u[:, offset : offset + len(group_names)]
-        if u.shape[0] >= 2:
-            weights.append(entropy_weights(cols))
-        else:
-            warnings.warn(
-                "single-window series; using equal weights inside groups",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-            weights.append(np.full(len(group_names), 1.0 / len(group_names)))
-        offset += len(group_names)
+    single = u.shape[0] < 2
+    if single:
+        warnings.warn(
+            "single-window series; using equal weights inside groups",
+            DataQualityWarning,
+            stacklevel=2,
+        )
 
     _, grades = _grade(u)
-    points = []
-    a = hierarchy.first_level_weights
+    b_rows = []
+    offset = 0
+    for _, group_names in hierarchy.groups:
+        j = len(group_names)
+        cols = slice(offset, offset + j)
+        weights = np.full(j, 1.0 / j) if single else entropy_weights(u[:, cols])
+        b_rows.append(first_level_eval(weights, grades[:, cols]))
+        offset += j
+    b = second_level_eval(hierarchy.first_level_weights, np.stack(b_rows, axis=1))
+    scores = momentum_score(b).tolist()
     elapsed = timeline.arrays.elapsed[window - 1 :].astype(int).tolist()
-    for t in range(u.shape[0]):
-        offset = 0
-        b_rows = []
-        for g, (_, group_names) in enumerate(hierarchy.groups):
-            rows = grades[t, offset : offset + len(group_names)]
-            b_rows.append(first_level_eval(weights[g], rows))
-            offset += len(group_names)
-        b = second_level_eval(a, np.asarray(b_rows))
-        points.append(
-            MomentumPoint(
-                elapsed_seconds=elapsed[t],
-                player=player,
-                score=momentum_score(b),
-            )
-        )
-    return points
+    return [MomentumPoint(t, player, score) for t, score in zip(elapsed, scores)]

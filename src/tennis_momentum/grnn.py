@@ -284,7 +284,8 @@ def expand_features(
     extras_ranked: Mapping[str, Sequence[float]],
     y: Sequence[float],
     config: CvConfig,
-    ranked_names: Sequence[str] | None = None,
+    *,
+    ranked_names: Sequence[str],
 ) -> SweepResult:
     """Greedy feature-expansion sweep.
 
@@ -294,7 +295,7 @@ def expand_features(
     """
     base = np.asarray(base, dtype=float)
     y = np.asarray(y, dtype=float)
-    names = list(ranked_names) if ranked_names is not None else list(extras_ranked)
+    names = list(ranked_names)
     if not names:
         raise ValueError("at least one extra feature is required")
     split = chronological_split(len(y), config.split_fraction)

@@ -16,7 +16,14 @@ from tennis_momentum import (
     momentum_series,
     second_level_eval,
 )
-from tennis_momentum.fuzzy import FuzzyHierarchy, GRADE_SCORE_WEIGHTS
+from tennis_momentum.errors import DegenerateRangeError
+from tennis_momentum.fuzzy import FuzzyHierarchy, GRADE_SCORE_WEIGHTS, MomentumPoint, _grade
+from tennis_momentum.indicators import (
+    INDICATOR_NAMES,
+    indicator_matrix,
+    normalize_minmax,
+    positivize,
+)
 from tennis_momentum.ingest import MatchTimeline
 
 from conftest import make_record, make_timeline
@@ -305,6 +312,208 @@ def test_series_on_sample_matches_warns_nothing(timelines):
         for tl in timelines:
             for player in (1, 2):
                 assert momentum_series(tl, player, window=20)
+
+
+# --- stacked composition against the per-window loop -----------------------
+
+# Oracle: the one-row compositions and the per-window loop momentum_series
+# ran before it composed every window in one stacked pass; the stacked code
+# must give the same bits.
+def _reference_first_level_eval(group_weights, rows):
+    w = np.asarray(group_weights, dtype=float)
+    r = np.asarray(rows, dtype=float)
+    if r.ndim != 2 or r.shape[1] != 7:
+        raise ValueError("rows must have shape (j, 7)")
+    if w.shape != (r.shape[0],):
+        raise ValueError("one weight per membership row is required")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("group weights must sum to 1")
+    return w @ r
+
+
+def _reference_second_level_eval(first_level_weights, b_rows):
+    a = np.asarray(first_level_weights, dtype=float)
+    b = np.asarray(b_rows, dtype=float)
+    if b.ndim != 2 or b.shape[1] != 7:
+        raise ValueError("b_rows must have shape (groups, 7)")
+    if a.shape != (b.shape[0],):
+        raise ValueError("one weight per group row is required")
+    out = a @ b
+    total = out.sum()
+    if total <= 0:
+        raise ValueError("composed membership row sums to zero")
+    return out / total
+
+
+def _reference_momentum_score(b):
+    arr = np.asarray(b, dtype=float)
+    if arr.shape != (7,):
+        raise ValueError("membership row must have 7 grades")
+    if (arr < 0).any() or abs(arr.sum() - 1.0) > 1e-9:
+        raise ValueError("membership row must be normalized (non-negative, sum 1)")
+    return float(np.dot(GRADE_SCORE_WEIGHTS, arr))
+
+
+def _reference_momentum_series(timeline, player, window, hierarchy=None):
+    if hierarchy is None:
+        hierarchy = FuzzyHierarchy()
+    ends = np.arange(window, len(timeline) + 1)
+    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
+    matrix = matrix[:, [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]]
+    names = hierarchy.indicator_names
+
+    for j, name in enumerate(names):
+        if name in hierarchy.smaller_is_better:
+            try:
+                matrix[:, j] = positivize(matrix[:, j])
+            except DegenerateRangeError:
+                matrix[:, j] = 0.5
+    u = normalize_minmax(matrix)
+
+    weights: list[np.ndarray] = []
+    offset = 0
+    for _, group_names in hierarchy.groups:
+        cols = u[:, offset : offset + len(group_names)]
+        if u.shape[0] >= 2:
+            weights.append(entropy_weights(cols))
+        else:
+            warnings.warn(
+                "single-window series; using equal weights inside groups",
+                DataQualityWarning,
+                stacklevel=2,
+            )
+            weights.append(np.full(len(group_names), 1.0 / len(group_names)))
+        offset += len(group_names)
+
+    _, grades = _grade(u)
+    points = []
+    a = hierarchy.first_level_weights
+    elapsed = timeline.arrays.elapsed[window - 1 :].astype(int).tolist()
+    for t in range(u.shape[0]):
+        offset = 0
+        b_rows = []
+        for g, (_, group_names) in enumerate(hierarchy.groups):
+            rows = grades[t, offset : offset + len(group_names)]
+            b_rows.append(_reference_first_level_eval(weights[g], rows))
+            offset += len(group_names)
+        b = _reference_second_level_eval(a, np.asarray(b_rows))
+        points.append(
+            MomentumPoint(
+                elapsed_seconds=elapsed[t],
+                player=player,
+                score=_reference_momentum_score(b),
+            )
+        )
+    return points
+
+
+def _assert_series_matches_reference(timeline, player, window):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        got = momentum_series(timeline, player, window)
+        want = _reference_momentum_series(timeline, player, window)
+    assert got == want
+    assert all(type(point.score) is float for point in got)
+
+
+def test_series_matches_per_window_reference_on_sample(timelines):
+    for tl in timelines:
+        for player in (1, 2):
+            for window in (1, 5, 20, 60, len(tl)):
+                _assert_series_matches_reference(tl, player, window)
+
+
+@pytest.mark.parametrize("window", [2, 5, 12, 20])
+def test_series_matches_reference_with_constant_x2(window):
+    # player 1 wins in every window, each point lasting 40 s: x2 is constant,
+    # which positivize rejects and the reference sets to 0.5
+    tl = alternating_then_streak_timeline()
+    ends = np.arange(window, len(tl) + 1)
+    matrix, _ = indicator_matrix(tl.arrays.player(1), ends - window, ends)
+    x2 = matrix[:, INDICATOR_NAMES.index("x2")]
+    assert (x2 == 40.0).all()
+    with pytest.raises(DegenerateRangeError):
+        positivize(x2)
+    _assert_series_matches_reference(tl, 1, window)
+
+
+def _random_grades(rng, count):
+    # a (count, 11, 7) block like the graded window matrix, rows on the simplex
+    return rng.dirichlet(np.ones(7), size=(count, 11))
+
+
+def test_stacked_composition_equals_per_row_calls():
+    rng = np.random.default_rng(11)
+    count = 10_000
+    grades = _random_grades(rng, count)
+    hierarchy = FuzzyHierarchy()
+    b_rows, offset = [], 0
+    for _, group_names in hierarchy.groups:
+        j = len(group_names)
+        w = rng.dirichlet(np.ones(j))
+        rows = grades[:, offset : offset + j]
+        stacked = first_level_eval(w, rows)
+        assert stacked.shape == (count, 7)
+        for t in range(count):
+            assert np.array_equal(stacked[t], _reference_first_level_eval(w, rows[t]))
+            assert np.array_equal(stacked[t], first_level_eval(w, rows[t]))
+        b_rows.append(stacked)
+        offset += j
+
+    b_stack = np.stack(b_rows, axis=1)
+    for a in (hierarchy.first_level_weights, rng.dirichlet(np.ones(4))):
+        b = second_level_eval(a, b_stack)
+        assert b.shape == (count, 7)
+        for t in range(count):
+            assert np.array_equal(b[t], _reference_second_level_eval(a, b_stack[t]))
+            assert np.array_equal(b[t], second_level_eval(a, b_stack[t]))
+
+    for rows in (b, grades[:, 0], rng.dirichlet(np.ones(7), size=count)):
+        scores = momentum_score(rows)
+        assert scores.shape == (count,)
+        for t, score in enumerate(scores.tolist()):
+            one = momentum_score(rows[t])
+            assert type(one) is float
+            assert score == one == _reference_momentum_score(rows[t])
+    assert momentum_score(grades[:2]).shape == (2, 11)
+
+
+def _value_error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_one_bad_row_in_a_stack_raises_the_one_row_error():
+    rng = np.random.default_rng(5)
+    grades = _random_grades(rng, 50)
+    w = np.array([0.3, 0.7])
+    rows = grades[:, :2].copy()
+
+    # wrong shape: six grades, or one weight too many
+    for bad_w, bad_rows in ((w, rows[..., :6]), (np.array([0.2, 0.3, 0.5]), rows)):
+        expected = _value_error(_reference_first_level_eval, bad_w, bad_rows[7])
+        assert _value_error(first_level_eval, bad_w, bad_rows) == expected
+    # weights that do not sum to 1
+    expected = _value_error(_reference_first_level_eval, [0.9, 0.3], rows[0])
+    assert _value_error(first_level_eval, [0.9, 0.3], rows) == expected
+
+    a = FuzzyHierarchy().first_level_weights
+    b_rows = grades[:, :4].copy()
+    expected = _value_error(_reference_second_level_eval, a, b_rows[0, :3])
+    assert _value_error(second_level_eval, a, b_rows[:, :3]) == expected
+    b_rows[31] = 0.0  # composes to a row summing to zero
+    expected = _value_error(_reference_second_level_eval, a, b_rows[31])
+    assert _value_error(second_level_eval, a, b_rows) == expected
+
+    b = grades[:, 0].copy()
+    expected = _value_error(_reference_momentum_score, b[0, :6])
+    assert _value_error(momentum_score, b[:, :6]) == expected
+    for bad in ((0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0)):
+        stack = b.copy()
+        stack[42] = bad
+        expected = _value_error(_reference_momentum_score, stack[42])
+        assert _value_error(momentum_score, stack) == expected
 
 
 def test_hierarchy_validation():
