@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -28,21 +28,15 @@ import numpy as np
 from . import grnn, momentum
 from .errors import DataError, UnknownMatchError
 from .fuzzy import momentum_series
-from .indicators import (
-    INDICATOR_NAMES,
-    compute_indicators,
-    indicator_values,
-    pca_reduce,
-    segment_labels,
-)
+from .indicators import INDICATOR_NAMES, indicator_table, pca_reduce
 from .ingest import (
     MatchTimeline,
-    flatten_timelines,
-    impute_missing,
     load_matches,
-    missing_rate,
-    outlier_report,
-    points_csv_text,
+    point_table,
+    table_imputation,
+    table_missing_rate,
+    table_outlier_report,
+    write_table_csv,
 )
 
 EXIT_OK = 0
@@ -139,12 +133,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def atomic_open(path: Path):
+    """A text file in ``path``'s directory that replaces ``path`` when the
+    block ends; on an error it is removed and ``path`` stays as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -152,13 +149,17 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    atomic_write_text(path, buf.getvalue())
+    """Write a CSV table row by row into a temporary file, then rename it."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json(path: Path, payload) -> None:
@@ -209,17 +210,18 @@ def _outdir(config: RunConfig, match_id: str) -> Path:
 def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     if config.match:
         timelines = [_select_match(timelines, config)]
-    records = flatten_timelines(timelines)
-    before = missing_rate(records)
-    box = outlier_report(records)
-    cleaned = impute_missing(records)
+    points = point_table(timelines)
+    before = table_missing_rate(points)
+    box = table_outlier_report(points)
+    filled = table_imputation(points)
 
     outdir = _outdir(config, config.match)
     digest = config.digest()
     paths = []
 
     clean_path = outdir / f"clean-{digest}.csv"
-    atomic_write_text(clean_path, points_csv_text(cleaned))
+    with atomic_open(clean_path) as fh:
+        write_table_csv(fh, points, filled)
     paths.append(clean_path)
 
     paths.append(
@@ -250,16 +252,7 @@ def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     if config.match:
         timelines = [_select_match(timelines, config)]
-    rows = []
-    matrix = []
-    for tl in timelines:
-        labels = segment_labels(tl, config.segmentation)
-        for player in _players(config):
-            vectors = compute_indicators(tl, player, config.segmentation)
-            for label, vec in zip(labels, vectors):
-                rows.append([tl.match_id, player, label])
-                matrix.append(indicator_values(vec))
-    matrix = np.asarray(matrix)
+    meta, matrix = indicator_table(timelines, _players(config), config.segmentation)
     k = min(config.pca_components, max(1, min(matrix.shape[0] - 1, matrix.shape[1])))
     result = pca_reduce(matrix, k)
     header = (
@@ -268,8 +261,8 @@ def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pa
         + [f"pc{i + 1}" for i in range(k)]
     )
     full_rows = [
-        meta + [float(v) for v in vec] + [float(s) for s in score_row]
-        for meta, vec, score_row in zip(rows, matrix, result.scores)
+        [*key, *values, *scores]
+        for key, values, scores in zip(meta, matrix.tolist(), result.scores.tolist())
     ]
     outdir = _outdir(config, config.match)
     path = outdir / f"indicators-{config.digest()}.csv"
@@ -468,7 +461,7 @@ def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     """One JSON per match: missing data, correlations, prediction quality."""
     tl = _select_match(timelines, config)
-    rates = missing_rate(tl.records).rates
+    rates = table_missing_rate(point_table([tl])).rates
     cv = config.cv_config()
     payload = {
         "match_id": tl.match_id,

@@ -54,7 +54,8 @@ class FuzzyHierarchy:
         w = np.asarray(self.first_level_weights, dtype=float)
         if len(self.groups) != w.size:
             raise ValueError("one weight per group is required")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+        # written so that NaN fails
+        if not ((w >= 0).all() and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("first-level weights must be >= 0 and sum to 1")
 
     @property
@@ -177,8 +178,11 @@ def first_level_eval(group_weights: Sequence[float], rows: np.ndarray) -> np.nda
         raise ValueError("rows must have shape (j, 7)")
     if w.shape != (r.shape[-2],):
         raise ValueError("one weight per membership row is required")
-    if abs(w.sum() - 1.0) > 1e-9:
+    # each check is written so that NaN fails it
+    if not abs(w.sum() - 1.0) <= 1e-9:
         raise ValueError("group weights must sum to 1")
+    if not (w >= 0).all():
+        raise ValueError("group weights must be non-negative")
     return np.matmul(w, r)
 
 
@@ -195,7 +199,7 @@ def second_level_eval(first_level_weights: Sequence[float], b_rows: np.ndarray) 
         raise ValueError("one weight per group row is required")
     out = np.matmul(a, b)
     total = out.sum(axis=-1, keepdims=True)
-    if (total <= 0).any():
+    if not (total > 0).all():  # NaN fails too
         raise ValueError("composed membership row sums to zero")
     return out / total
 
@@ -209,7 +213,8 @@ def momentum_score(b: Sequence[float]) -> float | np.ndarray:
     arr = np.asarray(b, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 7:
         raise ValueError("membership row must have 7 grades")
-    if (arr < 0).any() or (abs(arr.sum(axis=-1) - 1.0) > 1e-9).any():
+    # written so that NaN fails
+    if not ((arr >= 0).all() and (abs(arr.sum(axis=-1) - 1.0) <= 1e-9).all()):
         raise ValueError("membership row must be normalized (non-negative, sum 1)")
     # a stacked matmul gives each row the dot product it gets alone;
     # a plain (n, 7) @ (7,) product rounds some rows differently

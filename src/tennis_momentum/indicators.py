@@ -8,15 +8,16 @@ below:
 * serve-score rates use points won on serve as the denominator
   (``x11 = x9 / (x9 + x10)``), not serve attempts;
 * any indicator whose denominator is empty is set to 0 and flagged;
-  ``compute_indicators`` and ``indicator_vector`` turn the flags into one
-  ``DataQualityWarning`` per kind, naming how many segments it affects;
+  ``indicator_table``, ``compute_indicators`` and ``indicator_vector`` turn
+  the flags into one ``DataQualityWarning`` per kind and player, naming how
+  many segments it affects;
 * variances are population variances (1/n).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Sequence
 
@@ -92,7 +93,8 @@ def _warn_degenerate(player: int, degenerate: dict[str, np.ndarray]) -> None:
         count = int(mask.sum())
         if count:
             what, zeroed = DEGENERATE_KINDS[kind]
-            # stacklevel 3: the caller of compute_indicators or indicator_vector
+            # stacklevel 3: the caller of indicator_table, compute_indicators
+            # or indicator_vector
             warnings.warn(
                 f"player {player}: {what} in {count} of {mask.size} segments; "
                 f"{zeroed} set to 0",
@@ -113,7 +115,8 @@ def _run_moments(
     """
     mean = np.zeros(starts.size)
     var = np.zeros(starts.size)
-    for length in np.unique(lengths[lengths > 0]):
+    # the distinct positive lengths, ascending (np.unique would import numpy.ma)
+    for length in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
         runs = np.flatnonzero(lengths == length)
         step = max(1, _BLOCK_CELLS // length)
         for chunk in (runs[i : i + step] for i in range(0, runs.size, step)):
@@ -253,6 +256,95 @@ def _segments(
     return run_keys, starts, ends
 
 
+def _labels(keys: np.ndarray, segmentation: str) -> list[str]:
+    if segmentation == "set":
+        return [f"set{s}" for (s,) in keys.tolist()]
+    return [f"set{s}-game{g}" for s, g in keys.tolist()]
+
+
+# Points per kernel call of _indicator_rows: whole timelines are grouped up
+# to this many points, and a longer timeline is a group of its own.
+_GROUP_POINTS = 2048
+_SIDE_ARRAYS = tuple(f.name for f in fields(PlayerColumns) if f.name != "player")
+
+
+def _concatenated(sides: list[PlayerColumns]) -> PlayerColumns:
+    """One PlayerColumns holding the points of ``sides``, one after another."""
+    return PlayerColumns(
+        player=sides[0].player,
+        **{name: np.concatenate([getattr(s, name) for s in sides], axis=-1)
+           for name in _SIDE_ARRAYS},
+    )
+
+
+def _indicator_rows(
+    timelines: Sequence[MatchTimeline], players: Sequence[int], segmentation: str
+) -> tuple[list[np.ndarray], dict[int, np.ndarray], dict[int, dict[str, np.ndarray]]]:
+    """The segment keys of each timeline, and per player the (segments, 22)
+    matrix of every timeline's segments in order, with its degenerate masks.
+
+    One ``indicator_matrix`` call per player covers a group of whole
+    timelines of at most ``_GROUP_POINTS`` points: their columns are
+    concatenated and each timeline's segment bounds offset by the points
+    before it. Each row equals that of a call on its timeline alone.
+    """
+    if not timelines:
+        raise ValueError("indicators need at least one timeline")
+    segments = [_segments(tl, segmentation) for tl in timelines]
+    groups: list[list[int]] = []
+    size = 0
+    for i, tl in enumerate(timelines):
+        if groups and size + len(tl) <= _GROUP_POINTS:
+            groups[-1].append(i)
+            size += len(tl)
+        else:
+            groups.append([i])
+            size = len(tl)
+    matrices = {p: [] for p in players}
+    flags = {p: [] for p in players}
+    for group in groups:
+        offsets = np.cumsum([0] + [len(timelines[i]) for i in group[:-1]])
+        starts = np.concatenate([segments[i][1] + o for i, o in zip(group, offsets)])
+        ends = np.concatenate([segments[i][2] + o for i, o in zip(group, offsets)])
+        for p in players:
+            side = _concatenated([timelines[i].arrays.player(p) for i in group])
+            matrix, degenerate = indicator_matrix(side, starts, ends)
+            matrices[p].append(matrix)
+            flags[p].append(degenerate)
+    return (
+        [keys for keys, _, _ in segments],
+        {p: np.concatenate(m) for p, m in matrices.items()},
+        {p: {kind: np.concatenate([d[kind] for d in f]) for kind in DEGENERATE_KINDS}
+         for p, f in flags.items()},
+    )
+
+
+def indicator_table(
+    timelines: Sequence[MatchTimeline], players: Sequence[int], segmentation: str = "set"
+) -> tuple[list[tuple[str, int, str]], np.ndarray]:
+    """x1..x22 of each player over each segment of each timeline.
+
+    Returns the rows' (match id, player, segment label) and a (rows, 22)
+    matrix, ordered by timeline, then player, then segment. Degenerate
+    segments give at most one DataQualityWarning per kind and player,
+    counting the segments of every timeline.
+    """
+    keys, matrices, degenerate = _indicator_rows(timelines, players, segmentation)
+    for p in players:
+        _warn_degenerate(p, degenerate[p])
+    meta: list[tuple[str, int, str]] = []
+    blocks = []
+    start = 0
+    for tl, tl_keys in zip(timelines, keys):
+        labels = _labels(tl_keys, segmentation)
+        rows = slice(start, start + len(labels))
+        start = rows.stop
+        for p in players:
+            meta.extend((tl.match_id, p, label) for label in labels)
+            blocks.append(matrices[p][rows])
+    return meta, np.concatenate(blocks)
+
+
 def compute_indicators(
     timeline: MatchTimeline, player: int, segmentation: str = "set"
 ) -> list[IndicatorVector]:
@@ -261,19 +353,15 @@ def compute_indicators(
     Degenerate segments give at most one DataQualityWarning per kind, naming
     how many segments it affects.
     """
-    side = timeline.arrays.player(player)
-    _, starts, ends = _segments(timeline, segmentation)
-    matrix, degenerate = indicator_matrix(side, starts, ends)
-    _warn_degenerate(player, degenerate)
-    return [IndicatorVector(*row) for row in matrix.tolist()]
+    _, matrices, degenerate = _indicator_rows([timeline], [player], segmentation)
+    _warn_degenerate(player, degenerate[player])
+    return [IndicatorVector(*row) for row in matrices[player].tolist()]
 
 
 def segment_labels(timeline: MatchTimeline, segmentation: str = "set") -> list[str]:
     """Segment names aligned with ``compute_indicators`` output."""
     keys, _, _ = _segments(timeline, segmentation)
-    if segmentation == "set":
-        return [f"set{s}" for (s,) in keys.tolist()]
-    return [f"set{s}-game{g}" for s, g in keys.tolist()]
+    return _labels(keys, segmentation)
 
 
 def positivize(values: Sequence[float]) -> np.ndarray:

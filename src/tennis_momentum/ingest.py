@@ -91,9 +91,9 @@ class MatchTimeline:
     ``MatchTimeline(match_id, records)`` takes the points as records and
     extracts ``arrays`` from them on first use. ``load_matches`` builds its
     timelines from parsed columns instead: ``arrays`` comes straight from
-    the columns, and ``records`` is built on first access, then cached.
-    ``players`` holds the names of the first point's players. Treat a
-    timeline as immutable.
+    the columns, ``point_table`` reads them, and ``records`` is built on
+    first access, then cached. ``players`` holds the names of the first
+    point's players. Treat a timeline as immutable.
     """
 
     def __init__(self, match_id: str, records: Sequence[PointRecord]):
@@ -130,8 +130,7 @@ class MatchTimeline:
     def records(self) -> tuple[PointRecord, ...]:
         """The points, built from the parsed columns on first access."""
         rows = self._rows.tolist()
-        picked = [list(map(column.__getitem__, rows)) for column in self._columns]
-        del self._columns, self._rows
+        picked = (map(column.__getitem__, rows) for column in self._columns)
         return tuple(map(PointRecord, *picked))
 
     @cached_property
@@ -679,81 +678,148 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
     return parsed.timelines()
 
 
-def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
-    """Render records as CSV text in the canonical column order.
+class PointTable:
+    """Points as one value list per ``PointRecord`` field: the input of the
+    cleaning steps ``table_missing_rate``, ``table_outlier_report``,
+    ``table_imputation`` and ``write_table_csv``.
 
-    With ``ad_token`` advantage scores are written back as the raw "AD"
-    token instead of their numeric value 55 (useful for building fixtures
-    that exercise the token conversion).
+    ``columns`` come in ``PointRecord`` field order and may hold other
+    points too (a loader's lists are shared by all its timelines); ``rows``
+    picks this table's points from them, in order. The lists are only read.
     """
-    formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
-    if ad_token:
-        formatters["score"] = lambda n: "AD" if n == 55 else str(n)
-    formats = [formatters.get(kind, str) for _, _, kind in _COLUMN_SPEC]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        ["" if v is None else fmt(v) for fmt, v in zip(formats, _get_csv_fields(r))]
-        for r in records
-    )
-    return buf.getvalue()
+
+    def __init__(self, columns: Sequence[Sequence], rows: np.ndarray):
+        self.columns = dict(zip(_RECORD_FIELDS, columns))
+        self.rows = rows.tolist()
+
+    @classmethod
+    def from_records(cls, records: Iterable[PointRecord]) -> PointTable:
+        records = list(records)
+        columns = [list(map(attrgetter(f), records)) for f in _RECORD_FIELDS]
+        return cls(columns, np.arange(len(records)))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def values(self, field: str, start: int = 0, stop: int | None = None) -> list:
+        """``field`` of the points ``start:stop``, as a new list."""
+        return list(map(self.columns[field].__getitem__, self.rows[start:stop]))
+
+    @cached_property
+    def numeric(self) -> np.ndarray:
+        """The ``_NUMERIC_FIELDS`` of every point as a (points, fields)
+        float matrix, None as NaN."""
+        matrix = np.empty((len(self), len(_NUMERIC_FIELDS)))
+        for j, field in enumerate(_NUMERIC_FIELDS):
+            matrix[:, j] = self.values(field)
+        return matrix
+
+    def absent(self, field: str) -> np.ndarray:
+        """Where ``field`` is None, as a bool array."""
+        if field in _TEXT_FIELDS:
+            return np.array([v is None for v in self.values(field)], dtype=bool)
+        return np.isnan(self.floats(field))
+
+    def floats(self, field: str) -> np.ndarray:
+        """``field`` of every point as floats, None as NaN; text reads as 0."""
+        if field in _TEXT_FIELDS:
+            return np.where(self.absent(field), np.nan, 0.0)
+        return self.numeric[:, _NUMERIC_FIELDS.index(field)]
 
 
-def write_points_csv(records: Iterable[PointRecord], path: str | Path) -> None:
-    """Write records in the canonical column order (inverse of loading)."""
-    Path(path).write_text(points_csv_text(records), encoding="utf-8", newline="")
+def point_table(timelines: Sequence[MatchTimeline]) -> PointTable:
+    """The points of ``timelines``, in order, as one ``PointTable``.
+
+    Timelines of one ``load_matches`` call share its parsed value lists, so
+    the table only picks their rows and builds no record. Any other mix of
+    timelines goes through their records.
+    """
+    shared = [getattr(tl, "_columns", None) for tl in timelines]
+    if shared and shared[0] is not None and all(c is shared[0] for c in shared):
+        return PointTable(shared[0], np.concatenate([tl._rows for tl in timelines]))
+    return PointTable.from_records(flatten_timelines(timelines))
 
 
-def flatten_timelines(timelines: Iterable[MatchTimeline]) -> list[PointRecord]:
-    out: list[PointRecord] = []
-    for tl in timelines:
-        out.extend(tl.records)
-    return out
-
-
-def _column(records: Sequence[PointRecord], field: str) -> np.ndarray:
-    """``field`` of every record as floats, None as NaN; text reads as 0."""
-    values = map(attrgetter(field), records)
-    if field in _TEXT_FIELDS:
-        values = (None if v is None else 0.0 for v in values)
-    return np.array(list(values), dtype=float)
-
-
-def missing_rate(records: Sequence[PointRecord]) -> MissingReport:
-    """Fraction of records with an absent value, per optional column."""
-    if not records:
+def table_missing_rate(table: PointTable) -> MissingReport:
+    """Fraction of points with an absent value, per optional column."""
+    if not len(table):
         raise EmptyInputError("missing_rate needs at least one record")
-    n = len(records)
+    n = len(table)
     # int(): a NumPy scalar rate would be written as "np.float64(...)"
     rates = {
-        column: int(np.isnan(_column(records, field)).sum()) / n
+        column: int(table.absent(field).sum()) / n
         for column, field in zip(OPTIONAL_COLUMNS, _OPTIONAL_FIELDS)
     }
     return MissingReport(rates)
 
 
-def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
-    """Fill absent fields from the nearest fully populated record.
+def table_outlier_report(
+    table: PointTable, columns: Sequence[str] = BOXPLOT_COLUMNS
+) -> BoxplotReport:
+    """Quartiles (linear interpolation), 1.5*IQR fences and outlier counts.
+
+    Outliers are only counted, never removed. Columns with fewer than four
+    present values are skipped with a warning.
+    """
+    if not len(table):
+        raise EmptyInputError("outlier_report needs at least one record")
+    stats: dict[str, BoxplotStats] = {}
+    skipped: list[str] = []
+    for column in columns:
+        values = table.floats(_FIELD_FOR_COLUMN.get(column, column))
+        values = values[~np.isnan(values)]
+        if values.size < 4:
+            skipped.append(column)
+            warnings.warn(
+                f"column {column!r} has fewer than 4 values; skipped",
+                DataQualityWarning,
+                stacklevel=2,
+            )
+            continue
+        q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+        iqr = q3 - q1
+        lower = q1 - 1.5 * iqr
+        upper = q3 + 1.5 * iqr
+        outliers = int(np.sum((values < lower) | (values > upper)))
+        stats[column] = BoxplotStats(
+            minimum=float(values.min()),
+            q1=float(q1),
+            median=float(median),
+            q3=float(q3),
+            maximum=float(values.max()),
+            lower_fence=float(lower),
+            upper_fence=float(upper),
+            outlier_count=outliers,
+        )
+    return BoxplotReport(columns=stats, skipped=tuple(skipped))
+
+
+@dataclass(frozen=True)
+class Imputation:
+    """The cells imputation fills. Point ``rows[i]`` takes, in each of
+    ``fields`` that ``gaps[i]`` marks, the value of point ``donors[i]``;
+    both are positions in the table, and ``rows`` ascend."""
+
+    fields: tuple[str, ...]
+    rows: np.ndarray
+    donors: np.ndarray
+    gaps: np.ndarray  # (len(rows), len(fields)) bool
+
+
+def table_imputation(table: PointTable) -> Imputation:
+    """Pick each incomplete point's donor: the nearest fully populated point.
 
     Nearness is the plain Euclidean distance over the numeric fields present
-    in both rows (raw scale, no normalisation); ties go to the donor that
-    comes first in ``records`` (for ``clean``: by match id, then set, game
-    and point, not file order). Categorical gaps take the donor's category.
-    Columns that are absent in every record cannot be filled and are left
-    as-is.
+    in both points (raw scale, no normalisation); ties go to the donor that
+    comes first in the table. Categorical gaps take the donor's category.
+    Columns that are absent for every point cannot be filled and are left
+    as-is, with a warning.
     """
-    if not records:
+    if not len(table):
         raise EmptyInputError("impute_missing needs at least one record")
 
-    matrix = np.column_stack([_column(records, f) for f in _NUMERIC_FIELDS])
-    missing = np.isnan(matrix)
-    # numeric gaps are read off the distance matrix; text ones need a scan
-    numeric_absent = dict(zip(_NUMERIC_FIELDS, missing.T))
-    absent = {
-        f: numeric_absent[f] if f in numeric_absent else np.isnan(_column(records, f))
-        for f in _OPTIONAL_FIELDS
-    }
+    matrix = table.numeric
+    absent = {f: table.absent(f) for f in _OPTIONAL_FIELDS}
     fillable = [f for f in _OPTIONAL_FIELDS if not absent[f].all()]
     dead_columns = [f for f in _OPTIONAL_FIELDS if f not in fillable]
     if dead_columns:
@@ -764,36 +830,27 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
             stacklevel=2,
         )
 
-    gaps = np.zeros(len(records), dtype=bool)
+    gaps = np.zeros(len(table), dtype=bool)
     for f in fillable:
         gaps |= absent[f]
     donor_indices = np.flatnonzero(~gaps)
     incomplete = np.flatnonzero(gaps)
     if not incomplete.size:
-        return list(records)
+        return Imputation(tuple(fillable), incomplete, incomplete,
+                          np.zeros((0, len(fillable)), dtype=bool))
     if not donor_indices.size:
         raise ImputationError("no record has all fields populated")
 
     # rows with the same present fields share one donor slice
-    masks, pattern = np.unique(~missing[incomplete], axis=0, return_inverse=True)
+    present = ~np.isnan(matrix[incomplete])
+    masks, pattern = np.unique(present, axis=0, return_inverse=True)
     nearest = np.empty(incomplete.size, dtype=np.intp)
     for p, mask in enumerate(masks):
         members = pattern == p
         rows = incomplete[members]
         nearest[members] = _nearest_donors(matrix, donor_indices, rows, mask)
-
-    # one constructor call per row, not dataclasses.replace's field walk
-    slots = [_RECORD_FIELDS.index(f) for f in fillable]
-    row_gaps = np.column_stack([absent[f] for f in fillable])[incomplete].tolist()
-    out = list(records)
-    for i, d, gaps in zip(incomplete.tolist(), nearest.tolist(), row_gaps):
-        values = list(_record_values(records[i]))
-        donor = _record_values(records[d])
-        for slot, gap in zip(slots, gaps):
-            if gap:
-                values[slot] = donor[slot]
-        out[i] = PointRecord(*values)
-    return out
+    row_gaps = np.column_stack([absent[f][incomplete] for f in fillable])
+    return Imputation(tuple(fillable), incomplete, nearest, row_gaps)
 
 
 # Rows screened per matrix product: about 2**18 scores (2 MB) per block.
@@ -846,43 +903,124 @@ def _nearest_donors(
     return donors[nearest]
 
 
+def write_table_csv(fh, table: PointTable, imputation: Imputation | None = None) -> None:
+    """Write the points of ``table`` to the text file ``fh`` as CSV, in the
+    canonical column order, with the cells of ``imputation`` filled.
+
+    Points are picked and filled ``_BLOCK_ROWS`` at a time, and rendered one
+    row at a time.
+    """
+    fills = {}  # field -> (filled points, their donors), both ascending by point
+    if imputation is not None:
+        for field, gap in zip(imputation.fields, imputation.gaps.T):
+            fills[field] = (imputation.rows[gap], imputation.donors[gap])
+
+    def rows():
+        for start in range(0, len(table), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            columns = []
+            for _, field, _ in _COLUMN_SPEC:
+                values = table.values(field, start, stop)
+                if field in fills:
+                    points, donors = fills[field]
+                    first, last = np.searchsorted(points, (start, stop))
+                    column = table.columns[field]
+                    for point, donor in zip(points[first:last].tolist(),
+                                            donors[first:last].tolist()):
+                        values[point - start] = column[table.rows[donor]]
+                columns.append(values)
+            yield from zip(*columns)
+
+    _write_point_rows(fh, rows())
+
+
+def _write_point_rows(fh, rows: Iterable[Sequence], ad_token: bool = False) -> None:
+    """Write a header and ``rows`` of point values in ``_COLUMN_SPEC`` order
+    as CSV, formatting one row at a time. With ``ad_token`` advantage scores
+    are written back as the raw "AD" token instead of their numeric value 55.
+    """
+    formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
+    if ad_token:
+        formatters["score"] = lambda n: "AD" if n == 55 else str(n)
+    formats = [formatters.get(kind, str) for _, _, kind in _COLUMN_SPEC]
+    writer = csv.writer(fh)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        ["" if v is None else fmt(v) for fmt, v in zip(formats, row)] for row in rows
+    )
+
+
+# Record-level functions: thin adapters over the table functions above
+# (the CSV writers share the row renderer instead, needing no table).
+
+
+def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
+    """Render records as CSV text in the canonical column order.
+
+    With ``ad_token`` advantage scores are written back as the raw "AD"
+    token instead of their numeric value 55 (useful for building fixtures
+    that exercise the token conversion).
+    """
+    buf = io.StringIO()
+    _write_point_rows(buf, map(_get_csv_fields, records), ad_token)
+    return buf.getvalue()
+
+
+def write_points_csv(records: Iterable[PointRecord], path: str | Path) -> None:
+    """Write records in the canonical column order (inverse of loading)."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        _write_point_rows(fh, map(_get_csv_fields, records))
+
+
+def flatten_timelines(timelines: Iterable[MatchTimeline]) -> list[PointRecord]:
+    out: list[PointRecord] = []
+    for tl in timelines:
+        out.extend(tl.records)
+    return out
+
+
+def _column(records: Sequence[PointRecord], field: str) -> np.ndarray:
+    """``field`` of every record as floats, None as NaN; text reads as 0."""
+    values = map(attrgetter(field), records)
+    if field in _TEXT_FIELDS:
+        values = (None if v is None else 0.0 for v in values)
+    return np.array(list(values), dtype=float)
+
+
+def missing_rate(records: Sequence[PointRecord]) -> MissingReport:
+    """Fraction of records with an absent value, per optional column."""
+    return table_missing_rate(PointTable.from_records(records))
+
+
+def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
+    """Fill absent fields from the nearest fully populated record.
+
+    Nearness is the plain Euclidean distance over the numeric fields present
+    in both rows (raw scale, no normalisation); ties go to the donor that
+    comes first in ``records`` (for ``clean``: by match id, then set, game
+    and point, not file order). Categorical gaps take the donor's category.
+    Columns that are absent in every record cannot be filled and are left
+    as-is. Records without gaps are returned as they are.
+    """
+    filled = table_imputation(PointTable.from_records(records))
+    # one constructor call per row, not dataclasses.replace's field walk
+    slots = [_RECORD_FIELDS.index(f) for f in filled.fields]
+    out = list(records)
+    for i, d, gaps in zip(filled.rows.tolist(), filled.donors.tolist(),
+                          filled.gaps.tolist()):
+        values = list(_record_values(records[i]))
+        donor = _record_values(records[d])
+        for slot, gap in zip(slots, gaps):
+            if gap:
+                values[slot] = donor[slot]
+        out[i] = PointRecord(*values)
+    return out
+
+
 def outlier_report(
     records: Sequence[PointRecord],
     columns: Sequence[str] = BOXPLOT_COLUMNS,
 ) -> BoxplotReport:
-    """Quartiles (linear interpolation), 1.5*IQR fences and outlier counts.
-
-    Outliers are only counted, never removed. Columns with fewer than four
-    present values are skipped with a warning.
-    """
-    if not records:
-        raise EmptyInputError("outlier_report needs at least one record")
-    stats: dict[str, BoxplotStats] = {}
-    skipped: list[str] = []
-    for column in columns:
-        values = _column(records, _FIELD_FOR_COLUMN.get(column, column))
-        values = values[~np.isnan(values)]
-        if values.size < 4:
-            skipped.append(column)
-            warnings.warn(
-                f"column {column!r} has fewer than 4 values; skipped",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-            continue
-        q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-        iqr = q3 - q1
-        lower = q1 - 1.5 * iqr
-        upper = q3 + 1.5 * iqr
-        outliers = int(np.sum((values < lower) | (values > upper)))
-        stats[column] = BoxplotStats(
-            minimum=float(values.min()),
-            q1=float(q1),
-            median=float(median),
-            q3=float(q3),
-            maximum=float(values.max()),
-            lower_fence=float(lower),
-            upper_fence=float(upper),
-            outlier_count=outliers,
-        )
-    return BoxplotReport(columns=stats, skipped=tuple(skipped))
+    """Quartiles (linear interpolation), 1.5*IQR fences and outlier counts
+    of ``columns``, as ``table_outlier_report`` gives them."""
+    return table_outlier_report(PointTable.from_records(records), columns)

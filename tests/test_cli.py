@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from tennis_momentum.cli import main, parse_config_file
 from tennis_momentum.ingest import points_csv_text
 
-from conftest import make_record, make_timeline
+from conftest import REPO_ROOT, make_record, make_timeline
 
 
 @pytest.fixture()
@@ -327,23 +330,47 @@ def _counted_record_builds(monkeypatch):
 
 @pytest.mark.parametrize(
     "command",
-    ["indicators", "evaluate", "correlate", "turning-points", "predict", "expand"],
+    ["clean", "indicators", "evaluate", "correlate", "turning-points", "predict",
+     "expand", "report"],
 )
 def test_column_commands_build_no_records(dataset_path, tmp_path, monkeypatch, command):
     builds = _counted_record_builds(monkeypatch)
-    scope = [] if command == "indicators" else ["--match", "2023-wimbledon-1304"]
+    scope = [] if command in ("clean", "indicators") else ["--match", "2023-wimbledon-1304"]
     assert run(command, "--data", dataset_path, "--out", tmp_path, *scope) == 0
     assert builds == []
 
 
-def test_clean_builds_each_record_once(dataset_path, timelines, tmp_path, monkeypatch):
-    from tennis_momentum.ingest import flatten_timelines, impute_missing
+def test_clean_leaves_the_loaded_columns_as_they_were(dataset_path, tmp_path):
+    from tennis_momentum.ingest import load_matches
 
-    records = flatten_timelines(timelines)
-    cleaned = impute_missing(records)
-    imputed = sum(a is not b for a, b in zip(records, cleaned))
-    assert imputed > 0
-    builds = _counted_record_builds(monkeypatch)
-    assert run("clean", "--data", dataset_path, "--out", tmp_path) == 0
-    # one per point when loaded, plus one per row imputation fills
-    assert len(builds) == len(records) + imputed
+    timelines = load_matches(dataset_path)
+    columns = timelines[0]._columns
+    before = [list(column) for column in columns]
+    assert main(["clean", "--data", str(dataset_path), "--out", str(tmp_path)],
+                timelines) == 0
+    assert all(tl._columns is columns for tl in timelines)
+    assert [list(column) for column in columns] == before
+    # the cleaned file filled gaps that the loaded points still have
+    assert None in columns[-1]
+    assert main(["report", "--data", str(dataset_path), "--out", str(tmp_path),
+                 "--match", "2023-wimbledon-1304"], timelines) == 0
+    assert timelines == load_matches(dataset_path)
+
+
+def test_evaluate_does_not_import_numpy_ma(dataset_path, tmp_path):
+    # numpy.ma costs about 15 ms of every cold start that imports it
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+    def loads_numpy_ma(code):
+        probe = code + "\nimport sys\nprint('numpy.ma' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                capture_output=True, text=True)
+        return result.stdout.split()[-1] == "True"
+
+    if loads_numpy_ma("import numpy"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    argv = ["evaluate", "--data", str(dataset_path), "--match", "2023-wimbledon-1304",
+            "--out", str(tmp_path)]
+    assert not loads_numpy_ma(
+        f"from tennis_momentum import cli\nassert cli.main({argv!r}) == 0"
+    )

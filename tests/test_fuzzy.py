@@ -158,6 +158,29 @@ def test_first_level_validates():
         first_level_eval([0.9, 0.3], np.vstack([e(0), e(1)]))
 
 
+def test_first_level_rejects_nan_weights():
+    rows = np.vstack([e(0), e(1)])
+    for w in ([np.nan, 0.5], [np.nan, np.nan]):
+        for stack in (rows, np.stack([rows] * 3)):
+            with pytest.raises(ValueError, match="sum to 1"):
+                first_level_eval(w, stack)
+
+
+def test_first_level_rejects_negative_weights():
+    rows = np.vstack([e(0), e(1)])
+    for stack in (rows, np.stack([rows] * 3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            first_level_eval([1.5, -0.5], stack)
+
+
+def test_second_level_rejects_nan_weights():
+    rows = np.vstack([e(0), e(1), e(2), e(3)])
+    for a in ([np.nan, 0.25, 0.35, 0.25], [np.nan] * 4):
+        for stack in (rows, np.stack([rows] * 3)):
+            with pytest.raises(ValueError, match="sums to zero"):
+                second_level_eval(a, stack)
+
+
 def test_second_level_fixed_point():
     row = np.array([0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0])
     rows = np.vstack([row] * 4)
@@ -205,6 +228,20 @@ def test_score_requires_normalized_input():
         momentum_score((0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         momentum_score((1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def test_score_rejects_nan_rows():
+    with pytest.raises(ValueError, match="normalized"):
+        momentum_score([np.nan] * 7)
+    stack = np.tile(e(3), (5, 1))
+    stack[2, 0] = np.nan
+    with pytest.raises(ValueError, match="normalized"):
+        momentum_score(stack)
+
+
+def test_hierarchy_rejects_nan_weights():
+    with pytest.raises(ValueError, match="sum to 1"):
+        FuzzyHierarchy(first_level_weights=(np.nan, 0.25, 0.35, 0.25))
 
 
 @given(st.integers(0, 5), st.floats(0.01, 0.5))

@@ -1,4 +1,6 @@
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from tennis_momentum.indicators import (
     INDICATOR_NAMES,
     IndicatorVector,
     indicator_matrix,
+    indicator_table,
+    indicator_values,
     indicator_vector,
     segment_labels,
 )
@@ -511,3 +515,141 @@ def test_momentum_series_does_not_warn_on_windows_without_wins():
         warnings.simplefilter("error", DataQualityWarning)
         series = momentum_series(timeline, 1, window=4)
     assert len(series) == len(timeline) - 3
+
+
+# --- one kernel call per group of timelines ---------------------------------
+
+# Oracle: one kernel call per timeline, as before timelines were grouped,
+# and the loop the indicators command ran over it.
+def _reference_compute_indicators(timeline, player, segmentation="set"):
+    side = timeline.arrays.player(player)
+    _, starts, ends = indicators._segments(timeline, segmentation)
+    matrix, degenerate = indicator_matrix(side, starts, ends)
+    indicators._warn_degenerate(player, degenerate)
+    return [IndicatorVector(*row) for row in matrix.tolist()]
+
+
+def _reference_indicator_table(timelines, players, segmentation):
+    rows = []
+    matrix = []
+    for tl in timelines:
+        labels = segment_labels(tl, segmentation)
+        for player in players:
+            vectors = _reference_compute_indicators(tl, player, segmentation)
+            for label, vec in zip(labels, vectors):
+                rows.append((tl.match_id, player, label))
+                matrix.append(indicator_values(vec))
+    return rows, np.asarray(matrix)
+
+
+def _assert_table_matches_reference(timelines, players, segmentation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        meta, matrix = indicator_table(timelines, players, segmentation)
+        expected_meta, expected = _reference_indicator_table(
+            timelines, players, segmentation
+        )
+    assert meta == expected_meta
+    assert matrix.shape == expected.shape
+    assert matrix.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("group_points", [1, 100, 400, 2048])
+@pytest.mark.parametrize("segmentation", ["set", "game"])
+def test_grouped_kernel_calls_match_per_timeline_calls(
+    timelines, monkeypatch, group_points, segmentation
+):
+    # 1: every timeline alone; 100: every sample match is longer than a
+    # group; 400: two matches a group; 2048: all five in one call
+    monkeypatch.setattr(indicators, "_GROUP_POINTS", group_points)
+    for players in ([1, 2], [2]):
+        _assert_table_matches_reference(timelines, players, segmentation)
+
+
+@pytest.mark.parametrize("group_points, expected", [
+    (100, [194, 194, 200, 200, 133, 133, 136, 136, 124, 124]),  # each match alone
+    (400, [394, 394, 393, 393]),  # 194 + 200, then 133 + 136 + 124
+    (2048, [787, 787]),
+])
+def test_kernel_calls_take_whole_matches_up_to_the_group_bound(
+    timelines, monkeypatch, group_points, expected
+):
+    assert [len(tl) for tl in timelines] == [194, 200, 133, 136, 124]
+    sizes = []
+    kernel = indicators.indicator_matrix
+
+    def recording(side, starts, ends):
+        sizes.append(side.won.size)
+        return kernel(side, starts, ends)
+
+    monkeypatch.setattr(indicators, "indicator_matrix", recording)
+    monkeypatch.setattr(indicators, "_GROUP_POINTS", group_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        indicator_table(timelines, [1, 2], "game")
+    assert sizes == expected
+
+
+@st.composite
+def timeline_lists(draw):
+    """Several kernel timelines under distinct match ids."""
+    timelines = []
+    for i in range(draw(st.integers(1, 4))):
+        records = draw(timelines_for_kernel()).records
+        match_id = f"m{i}"
+        records = tuple(replace(r, match_id=match_id) for r in records)
+        timelines.append(MatchTimeline(match_id, records))
+    return timelines
+
+
+@settings(max_examples=60, deadline=None)
+@given(timeline_lists(), st.integers(1, 80), st.sampled_from(("set", "game")))
+def test_grouped_kernel_calls_match_per_timeline_calls_on_generated_timelines(
+    timelines, group_points, segmentation
+):
+    # max 40 points a timeline: bounds below 40 leave some longer than a group
+    original = indicators._GROUP_POINTS
+    indicators._GROUP_POINTS = group_points
+    try:
+        _assert_table_matches_reference(timelines, [1, 2], segmentation)
+    finally:
+        indicators._GROUP_POINTS = original
+
+
+_COUNTED = re.compile(r"player (\d): (.+) in (\d+) of (\d+) segments; (.+) set to 0")
+
+
+def _tally(caught):
+    """(player, what) -> (count, segments) of the degenerate-segment warnings."""
+    tally = {}
+    for w in caught:
+        match = _COUNTED.fullmatch(str(w.message))
+        if match and issubclass(w.category, DataQualityWarning):
+            player, what, count, segments, _ = match.groups()
+            key = (int(player), what)
+            assert key not in tally, f"warned twice: {key}"
+            tally[key] = (int(count), int(segments))
+    return tally
+
+
+def test_indicators_command_warns_once_per_kind_and_player(
+    dataset_path, timelines, tmp_path
+):
+    from tennis_momentum.cli import main
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["indicators", "--data", str(dataset_path), "--segmentation", "game",
+                     "--out", str(tmp_path)]) == 0
+    tally = _tally(caught)
+    assert tally
+    expected = {}
+    for tl in timelines:
+        for player in (1, 2):
+            with warnings.catch_warnings(record=True) as per_timeline:
+                warnings.simplefilter("always")
+                _reference_compute_indicators(tl, player, "game")
+            for key, (count, _) in _tally(per_timeline).items():
+                expected[key] = expected.get(key, 0) + count
+    segments = sum(len(segment_labels(tl, "game")) for tl in timelines)
+    assert tally == {key: (count, segments) for key, count in expected.items()}

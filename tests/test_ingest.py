@@ -2,6 +2,7 @@ import csv
 import io
 import warnings
 from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -931,3 +932,295 @@ def test_boxplot_flags_outlier_but_keeps_it():
     assert stats.maximum == 141.0
     assert stats.upper_fence < 141.0
     assert stats.outlier_count == 1
+
+
+# --- clean on the loaded columns -------------------------------------------
+
+# Oracle: the record path clean ran before it worked on the loaded columns,
+# kept verbatim. The table functions must give the same CSV text, missing
+# rates, box-plot stats, warnings and errors.
+def _reference_column(records, field):
+    """``field`` of every record as floats, None as NaN; text reads as 0."""
+    values = map(attrgetter(field), records)
+    if field in ingest._TEXT_FIELDS:
+        values = (None if v is None else 0.0 for v in values)
+    return np.array(list(values), dtype=float)
+
+
+def _reference_missing_rate(records):
+    """Fraction of records with an absent value, per optional column."""
+    if not records:
+        raise EmptyInputError("missing_rate needs at least one record")
+    n = len(records)
+    # int(): a NumPy scalar rate would be written as "np.float64(...)"
+    rates = {
+        column: int(np.isnan(_reference_column(records, field)).sum()) / n
+        for column, field in zip(OPTIONAL_COLUMNS, ingest._OPTIONAL_FIELDS)
+    }
+    return ingest.MissingReport(rates)
+
+
+def _reference_impute_missing(records):
+    if not records:
+        raise EmptyInputError("impute_missing needs at least one record")
+
+    matrix = np.column_stack([_reference_column(records, f) for f in ingest._NUMERIC_FIELDS])
+    missing = np.isnan(matrix)
+    # numeric gaps are read off the distance matrix; text ones need a scan
+    numeric_absent = dict(zip(ingest._NUMERIC_FIELDS, missing.T))
+    absent = {
+        f: numeric_absent[f] if f in numeric_absent else np.isnan(_reference_column(records, f))
+        for f in ingest._OPTIONAL_FIELDS
+    }
+    fillable = [f for f in ingest._OPTIONAL_FIELDS if not absent[f].all()]
+    dead_columns = [f for f in ingest._OPTIONAL_FIELDS if f not in fillable]
+    if dead_columns:
+        warnings.warn(
+            "columns absent everywhere cannot be imputed: "
+            + ", ".join(dead_columns),
+            DataQualityWarning,
+            stacklevel=2,
+        )
+
+    gaps = np.zeros(len(records), dtype=bool)
+    for f in fillable:
+        gaps |= absent[f]
+    donor_indices = np.flatnonzero(~gaps)
+    incomplete = np.flatnonzero(gaps)
+    if not incomplete.size:
+        return list(records)
+    if not donor_indices.size:
+        raise ImputationError("no record has all fields populated")
+
+    # rows with the same present fields share one donor slice
+    masks, pattern = np.unique(~missing[incomplete], axis=0, return_inverse=True)
+    nearest = np.empty(incomplete.size, dtype=np.intp)
+    for p, mask in enumerate(masks):
+        members = pattern == p
+        rows = incomplete[members]
+        nearest[members] = ingest._nearest_donors(matrix, donor_indices, rows, mask)
+
+    # one constructor call per row, not dataclasses.replace's field walk
+    slots = [ingest._RECORD_FIELDS.index(f) for f in fillable]
+    row_gaps = np.column_stack([absent[f] for f in fillable])[incomplete].tolist()
+    out = list(records)
+    for i, d, gaps in zip(incomplete.tolist(), nearest.tolist(), row_gaps):
+        values = list(ingest._record_values(records[i]))
+        donor = ingest._record_values(records[d])
+        for slot, gap in zip(slots, gaps):
+            if gap:
+                values[slot] = donor[slot]
+        out[i] = PointRecord(*values)
+    return out
+
+
+def _reference_outlier_report(records, columns=ingest.BOXPLOT_COLUMNS):
+    if not records:
+        raise EmptyInputError("outlier_report needs at least one record")
+    stats = {}
+    skipped = []
+    for column in columns:
+        values = _reference_column(records, _FIELD_FOR_COLUMN.get(column, column))
+        values = values[~np.isnan(values)]
+        if values.size < 4:
+            skipped.append(column)
+            warnings.warn(
+                f"column {column!r} has fewer than 4 values; skipped",
+                DataQualityWarning,
+                stacklevel=2,
+            )
+            continue
+        q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+        iqr = q3 - q1
+        lower = q1 - 1.5 * iqr
+        upper = q3 + 1.5 * iqr
+        outliers = int(np.sum((values < lower) | (values > upper)))
+        stats[column] = ingest.BoxplotStats(
+            minimum=float(values.min()),
+            q1=float(q1),
+            median=float(median),
+            q3=float(q3),
+            maximum=float(values.max()),
+            lower_fence=float(lower),
+            upper_fence=float(upper),
+            outlier_count=outliers,
+        )
+    return ingest.BoxplotReport(columns=stats, skipped=tuple(skipped))
+
+
+_reference_get_csv_fields = attrgetter(*_FIELD_FOR_COLUMN.values())
+
+
+def _reference_points_csv_text(records, ad_token=False):
+    formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
+    if ad_token:
+        formatters["score"] = lambda n: "AD" if n == 55 else str(n)
+    formats = [formatters.get(kind, str) for _, _, kind in _COLUMN_SPEC]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        ["" if v is None else fmt(v) for fmt, v in zip(formats, _reference_get_csv_fields(r))]
+        for r in records
+    )
+    return buf.getvalue()
+
+
+def _reference_clean(timelines):
+    records = flatten_timelines(timelines)
+    before = _reference_missing_rate(records)
+    box = _reference_outlier_report(records)
+    cleaned = _reference_impute_missing(records)
+    return _reference_points_csv_text(cleaned), before.rates, box
+
+
+def _column_clean(timelines):
+    table = ingest.point_table(timelines)
+    before = ingest.table_missing_rate(table)
+    box = ingest.table_outlier_report(table)
+    filled = ingest.table_imputation(table)
+    buf = io.StringIO()
+    ingest.write_table_csv(buf, table, filled)
+    return buf.getvalue(), before.rates, box
+
+
+def _clean_outcome(clean, timelines):
+    """The warnings of a clean, and its error or its (text, rates, box plots);
+    reprs, so that every float compares bit for bit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = clean(timelines)
+        except ImputationError as exc:
+            result = (type(exc), str(exc))
+    return [(w.category, str(w.message)) for w in caught], repr(result)
+
+
+def _assert_clean_matches_reference(path):
+    """The column clean of a file's loaded timelines, and of the same points
+    as record-built timelines, against the record path."""
+    expected = _clean_outcome(_reference_clean, load_matches(path))
+    assert _clean_outcome(_column_clean, load_matches(path)) == expected
+    built = [MatchTimeline(tl.match_id, tl.records) for tl in load_matches(path)]
+    assert _clean_outcome(_column_clean, built) == expected
+    return expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 1024])
+def test_column_clean_matches_record_path_on_sample(dataset_path, tmp_path, monkeypatch,
+                                                    block_rows):
+    # 7: filled points fall on every position of a written block
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+    warned, result = _assert_clean_matches_reference(dataset_path)
+    assert "ImputationError" not in result
+    one = tmp_path / "one.csv"
+    _write_csv(one, load_matches(dataset_path, "2023-wimbledon-1310")[0].records)
+    _assert_clean_matches_reference(one)
+
+
+_LOADABLE_FILLERS = {
+    "elapsed_seconds": _SMALL_INT,
+    "p1_points_won": _SMALL_INT,
+    "p2_points_won": _SMALL_INT,
+    "server": st.sampled_from([1, 2]),
+    "serve_no": st.sampled_from([1, 2]),
+    "p1_ace": st.sampled_from([0, 1]),
+    "p2_unforced_error": st.sampled_from([0, 1]),
+    "p1_distance_run": _SMALL_INT.map(float),
+    "p2_distance_run": _SMALL_INT.map(float),
+    "speed_mph": _SMALL_INT.map(float),
+    "serve_width": st.sampled_from(["A", "B", "C"]),
+    "return_depth": st.sampled_from(["A", ",B", "C"]),
+}
+
+
+@st.composite
+def _gappy_files(draw):
+    """Points of 1-3 matches in shuffled file order, with shared gap patterns
+    and columns absent everywhere; some files have no complete point."""
+    patterns = draw(st.lists(
+        st.sets(st.sampled_from(_OPTIONAL), max_size=4), min_size=1, max_size=4,
+    ))
+    dead = draw(st.sets(st.sampled_from(_OPTIONAL), max_size=2))
+    records = []
+    for m in range(draw(st.integers(1, 3))):
+        for i in range(draw(st.integers(1, 12))):
+            values = {f: draw(v) for f, v in _LOADABLE_FILLERS.items()}
+            gaps = dead | draw(st.sampled_from(patterns))
+            records.append(make_record(match_id=f"m{m}", point_no=i + 1,
+                                       **{**values, **dict.fromkeys(gaps)}))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=_gappy_files(), block_rows=st.sampled_from([1, 2, 3, 1024]))
+def test_column_clean_matches_record_path(tmp_path, records, block_rows):
+    path = tmp_path / "gappy.csv"
+    _write_csv(path, records)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        _assert_clean_matches_reference(path)
+
+
+def _two_matches(tmp_path, **gaps_by_point):
+    """A file of two 3-point matches; ``gaps_by_point`` maps "m<m>_<point>"
+    to the fields that point lacks."""
+    records = [
+        make_record(match_id=f"m{m}", point_no=i + 1, **{
+            "speed_mph": 100.0 + 3 * m + i,
+            **dict.fromkeys(gaps_by_point.get(f"m{m}_{i + 1}", ())),
+        })
+        for m in (1, 2) for i in range(3)
+    ]
+    path = tmp_path / "two.csv"
+    _write_csv(path, records[::-1])
+    return path
+
+
+def test_column_clean_warns_like_record_path_on_a_column_absent_everywhere(tmp_path):
+    gaps = {f"m{m}_{i}": ("serve_depth",) for m in (1, 2) for i in (1, 2, 3)}
+    gaps["m1_2"] += ("speed_mph",)
+    warned, _ = _assert_clean_matches_reference(_two_matches(tmp_path, **gaps))
+    assert any("absent everywhere cannot be imputed: serve_depth" in w for _, w in warned)
+
+
+def test_column_clean_fails_like_record_path_without_a_donor(tmp_path):
+    gaps = {f"m{m}_{i}": ("speed_mph",) if i % 2 else ("server",)
+            for m in (1, 2) for i in (1, 2, 3)}
+    _, result = _assert_clean_matches_reference(_two_matches(tmp_path, **gaps))
+    assert "ImputationError" in result and "no record has all fields" in result
+
+
+def test_column_clean_skips_short_box_plot_columns_like_record_path(tmp_path):
+    gaps = {f"m{m}_{i}": ("speed_mph",) for m in (1, 2) for i in (1, 2, 3)}
+    del gaps["m2_3"], gaps["m1_1"], gaps["m1_2"]  # 3 speeds are present
+    warned, _ = _assert_clean_matches_reference(_two_matches(tmp_path, **gaps))
+    skipped = "column 'speed_mph' has fewer than 4 values; skipped"
+    assert (DataQualityWarning, skipped) in warned
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=_gappy_records(), ad_token=st.booleans())
+def test_record_functions_match_reference_record_path(records, ad_token):
+    def outcomes(missing, boxes, impute, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = [repr(missing(records)), repr(boxes(records)),
+                       text(records, ad_token=ad_token)]
+            try:
+                results.append(impute(records))
+            except ImputationError as exc:
+                results.append(repr(exc))
+        return [str(w.message) for w in caught], results
+
+    expected = outcomes(_reference_missing_rate, _reference_outlier_report,
+                        _reference_impute_missing, _reference_points_csv_text)
+    assert outcomes(missing_rate, outlier_report, impute_missing, points_csv_text) == expected
+
+
+def test_points_csv_text_writes_advantage_as_the_ad_token_on_request():
+    records = [make_record(p1_score=55, p2_score=40)]
+    for ad_token, cells in ((True, ",AD,40,"), (False, ",55,40,")):
+        text = points_csv_text(records, ad_token=ad_token)
+        assert text == _reference_points_csv_text(records, ad_token=ad_token)
+        assert cells in text
