@@ -19,10 +19,7 @@ from .ingest import (
     PointRecord,
     impute_missing,
     load_matches,
-    missing_rate,
-    outlier_report,
     parse_score_token,
-    write_points_csv,
 )
 from .indicators import (
     IndicatorVector,

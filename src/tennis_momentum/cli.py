@@ -536,7 +536,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         if not Path(args.config).exists():
             raise UsageError(f"config file not found: {args.config}")
+        # a file value must be one its flag accepts
+        choices = {a.dest: a.choices for a in build_parser()._actions if a.choices}
         for key, value in parse_config_file(args.config).items():
+            if key in choices and value not in choices[key]:
+                raise UsageError(f"bad value for {key}: {value!r}")
             setattr(config, key, value)
     for key in _CONFIG_TYPES:
         value = getattr(args, key, None)

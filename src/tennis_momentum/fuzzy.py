@@ -146,6 +146,8 @@ def entropy_weights(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("entropy weights need at least 2 samples")
     if (z < 0).any():
         raise ValueError("matrix entries must be non-negative")
+    if not (z < np.inf).all():  # NaN fails too
+        raise ValueError("matrix entries must be finite")
     sums = z.sum(axis=0)
     if (sums <= 0).any():
         bad = int(np.argmax(sums <= 0))

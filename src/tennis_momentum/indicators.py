@@ -8,27 +8,24 @@ below:
 * serve-score rates use points won on serve as the denominator
   (``x11 = x9 / (x9 + x10)``), not serve attempts;
 * any indicator whose denominator is empty is set to 0 and flagged;
-  ``indicator_table``, ``compute_indicators`` and ``indicator_vector`` turn
-  the flags into one ``DataQualityWarning`` per kind and player, naming how
-  many segments it affects;
+  ``indicator_table`` and ``compute_indicators`` turn the flags into one
+  ``DataQualityWarning`` per kind and player, naming how many segments it
+  affects;
 * variances are population variances (1/n).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataQualityWarning, DegenerateRangeError
-from .ingest import MatchArrays, MatchTimeline, PlayerColumns, PointRecord
+from .errors import DataQualityWarning, DegenerateRangeError, InsufficientDataError
+from .ingest import MatchTimeline, PlayerColumns
 
 INDICATOR_NAMES = tuple(f"x{i}" for i in range(1, 23))
-# x1..x22 of an IndicatorVector, as a tuple
-indicator_values = attrgetter(*INDICATOR_NAMES)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class IndicatorVector:
     x22: float  # variance of running distance
 
     def as_array(self) -> np.ndarray:
-        return np.array(indicator_values(self))
+        return np.array(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ def _warn_degenerate(player: int, degenerate: dict[str, np.ndarray]) -> None:
         count = int(mask.sum())
         if count:
             what, zeroed = DEGENERATE_KINDS[kind]
-            # stacklevel 3: the caller of indicator_table, compute_indicators
-            # or indicator_vector
+            # stacklevel 3: the caller of indicator_table or compute_indicators
             warnings.warn(
                 f"player {player}: {what} in {count} of {mask.size} segments; "
                 f"{zeroed} set to 0",
@@ -206,22 +202,6 @@ def indicator_matrix(
         "no_distance": dist_count == 0,
     }
     return out, degenerate
-
-
-def indicator_vector(records: Sequence[PointRecord], player: int) -> IndicatorVector:
-    """Compute x1..x22 for one player over one contiguous segment.
-
-    A thin wrapper over ``indicator_matrix`` with the one range (0, n),
-    warning like ``compute_indicators``. Durations come from the segment's
-    own clock; ``compute_indicators`` uses match-wide durations so a
-    segment's first point keeps its length.
-    """
-    if not records:
-        raise ValueError("segment must contain at least one record")
-    side = MatchArrays.from_records(records).player(player)
-    matrix, degenerate = indicator_matrix(side, [0], [len(records)])
-    _warn_degenerate(player, degenerate)
-    return IndicatorVector(*matrix[0].tolist())
 
 
 def _segments(
@@ -358,12 +338,6 @@ def compute_indicators(
     return [IndicatorVector(*row) for row in matrices[player].tolist()]
 
 
-def segment_labels(timeline: MatchTimeline, segmentation: str = "set") -> list[str]:
-    """Segment names aligned with ``compute_indicators`` output."""
-    keys, _, _ = _segments(timeline, segmentation)
-    return _labels(keys, segmentation)
-
-
 def positivize(values: Sequence[float]) -> np.ndarray:
     """Reverse the orientation of a smaller-is-better series onto [0, 1].
 
@@ -403,13 +377,14 @@ def pca_reduce(matrix: np.ndarray, k: int) -> PcaResult:
     zero-variance columns become all-zero with a warning. Components are
     eigenvectors of the correlation matrix, ordered by decreasing
     eigenvalue, each signed so its largest-magnitude loading is positive.
+    One row or none raises ``InsufficientDataError``, a ``ValueError``.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2:
         raise ValueError("matrix must be 2-D")
     n, p = arr.shape
     if n <= 1:
-        raise ValueError("pca_reduce needs more than one row")
+        raise InsufficientDataError("pca_reduce needs more than one row")
     if not 1 <= k <= min(n - 1, p):
         raise ValueError(f"k={k} out of range [1, {min(n - 1, p)}]")
 

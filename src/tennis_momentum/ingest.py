@@ -88,12 +88,14 @@ class PointRecord:
 class MatchTimeline:
     """Ordered, non-empty sequence of points belonging to one match.
 
-    ``MatchTimeline(match_id, records)`` takes the points as records and
-    extracts ``arrays`` from them on first use. ``load_matches`` builds its
-    timelines from parsed columns instead: ``arrays`` comes straight from
-    the columns, ``point_table`` reads them, and ``records`` is built on
-    first access, then cached. ``players`` holds the names of the first
-    point's players. Treat a timeline as immutable.
+    Every timeline holds its points as one value list per ``PointRecord``
+    field (``_columns``, possibly holding other points too), the picks of
+    its points from them in order (``_rows``), and their numeric ``arrays``.
+    ``MatchTimeline(match_id, records)`` builds all three from its records
+    at construction, and keeps the records. ``load_matches`` builds
+    its timelines from the parsed columns, which all of them share; their
+    ``records`` are built on first access, then cached. ``players`` holds
+    the names of the first point's players. Treat a timeline as immutable.
     """
 
     def __init__(self, match_id: str, records: Sequence[PointRecord]):
@@ -107,7 +109,10 @@ class MatchTimeline:
                 )
         self.match_id = match_id
         self.players = (records[0].player1, records[0].player2)
-        self._length = len(records)
+        self._columns = _record_columns(records)
+        self._rows = np.arange(len(records))
+        matrix = [self._columns[_RECORD_FIELDS.index(f)] for f in _ARRAY_FIELDS]
+        self.arrays = MatchArrays._from_matrix(np.array(matrix, dtype=float))
         self.records = records
 
     @classmethod
@@ -121,7 +126,6 @@ class MatchTimeline:
         timeline = cls.__new__(cls)
         timeline.match_id = match_id
         timeline.players = players
-        timeline._length = len(rows)
         timeline._columns, timeline._rows = columns, rows
         timeline.arrays = arrays
         return timeline
@@ -133,13 +137,8 @@ class MatchTimeline:
         picked = (map(column.__getitem__, rows) for column in self._columns)
         return tuple(map(PointRecord, *picked))
 
-    @cached_property
-    def arrays(self) -> MatchArrays:
-        """The numeric columns of ``records``, extracted on first use."""
-        return MatchArrays.from_records(self.records)
-
     def __len__(self):
-        return self._length
+        return len(self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, MatchTimeline):
@@ -150,7 +149,7 @@ class MatchTimeline:
         return hash((self.match_id, self.records))
 
     def __repr__(self):
-        return f"MatchTimeline({self.match_id!r}, {self._length} points)"
+        return f"MatchTimeline({self.match_id!r}, {len(self)} points)"
 
 
 # Per-player event flags, as field suffixes after "p1_" / "p2_".
@@ -213,12 +212,6 @@ class MatchArrays:
     points_won: np.ndarray   # (2, n)
     events: np.ndarray       # (2, len(EVENT_FLAGS), n)
     distance: np.ndarray     # (2, n)
-
-    @classmethod
-    def from_records(cls, records: Sequence[PointRecord]) -> MatchArrays:
-        if not records:
-            raise EmptyInputError("MatchArrays needs at least one record")
-        return cls._from_matrix(np.array([_column(records, f) for f in _ARRAY_FIELDS]))
 
     @classmethod
     def _from_matrix(cls, matrix: np.ndarray) -> MatchArrays:
@@ -354,6 +347,12 @@ _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
 # PointRecord's fields in constructor order, read all at once
 _RECORD_FIELDS = [f.name for f in fields(PointRecord)]
 _record_values = attrgetter(*_RECORD_FIELDS)
+
+
+def _record_columns(records: Sequence[PointRecord]) -> list[list]:
+    """The values of ``records``, one list per ``PointRecord`` field."""
+    return [list(values) for values in zip(*map(_record_values, records))]
+
 
 # Continuous measurement columns summarised by the default box-plot audit.
 BOXPLOT_COLUMNS = ("speed_mph", "p1_distance_run", "p2_distance_run")
@@ -692,12 +691,6 @@ class PointTable:
         self.columns = dict(zip(_RECORD_FIELDS, columns))
         self.rows = rows.tolist()
 
-    @classmethod
-    def from_records(cls, records: Iterable[PointRecord]) -> PointTable:
-        records = list(records)
-        columns = [list(map(attrgetter(f), records)) for f in _RECORD_FIELDS]
-        return cls(columns, np.arange(len(records)))
-
     def __len__(self):
         return len(self.rows)
 
@@ -730,14 +723,20 @@ class PointTable:
 def point_table(timelines: Sequence[MatchTimeline]) -> PointTable:
     """The points of ``timelines``, in order, as one ``PointTable``.
 
-    Timelines of one ``load_matches`` call share its parsed value lists, so
-    the table only picks their rows and builds no record. Any other mix of
-    timelines goes through their records.
+    Timelines that share their value lists (those of one ``load_matches``
+    call) are read in place: the table only picks their rows. Any other mix
+    is copied, each timeline's points picked from its own lists into new
+    ones. No record is built either way.
     """
-    shared = [getattr(tl, "_columns", None) for tl in timelines]
-    if shared and shared[0] is not None and all(c is shared[0] for c in shared):
-        return PointTable(shared[0], np.concatenate([tl._rows for tl in timelines]))
-    return PointTable.from_records(flatten_timelines(timelines))
+    if timelines and all(tl._columns is timelines[0]._columns for tl in timelines):
+        return PointTable(timelines[0]._columns,
+                          np.concatenate([tl._rows for tl in timelines]))
+    columns = [[] for _ in _RECORD_FIELDS]
+    for tl in timelines:
+        rows = tl._rows.tolist()
+        for column, values in zip(columns, tl._columns):
+            column.extend(map(values.__getitem__, rows))
+    return PointTable(columns, np.arange(len(columns[0])))
 
 
 def table_missing_rate(table: PointTable) -> MissingReport:
@@ -950,8 +949,8 @@ def _write_point_rows(fh, rows: Iterable[Sequence], ad_token: bool = False) -> N
     )
 
 
-# Record-level functions: thin adapters over the table functions above
-# (the CSV writers share the row renderer instead, needing no table).
+# Record-level functions: the CSV text writer shares the row renderer;
+# imputation runs the table function on the records' values.
 
 
 def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
@@ -966,32 +965,6 @@ def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> s
     return buf.getvalue()
 
 
-def write_points_csv(records: Iterable[PointRecord], path: str | Path) -> None:
-    """Write records in the canonical column order (inverse of loading)."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        _write_point_rows(fh, map(_get_csv_fields, records))
-
-
-def flatten_timelines(timelines: Iterable[MatchTimeline]) -> list[PointRecord]:
-    out: list[PointRecord] = []
-    for tl in timelines:
-        out.extend(tl.records)
-    return out
-
-
-def _column(records: Sequence[PointRecord], field: str) -> np.ndarray:
-    """``field`` of every record as floats, None as NaN; text reads as 0."""
-    values = map(attrgetter(field), records)
-    if field in _TEXT_FIELDS:
-        values = (None if v is None else 0.0 for v in values)
-    return np.array(list(values), dtype=float)
-
-
-def missing_rate(records: Sequence[PointRecord]) -> MissingReport:
-    """Fraction of records with an absent value, per optional column."""
-    return table_missing_rate(PointTable.from_records(records))
-
-
 def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     """Fill absent fields from the nearest fully populated record.
 
@@ -1002,25 +975,16 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     Columns that are absent in every record cannot be filled and are left
     as-is. Records without gaps are returned as they are.
     """
-    filled = table_imputation(PointTable.from_records(records))
+    columns = _record_columns(records)
+    filled = table_imputation(PointTable(columns, np.arange(len(records))))
     # one constructor call per row, not dataclasses.replace's field walk
     slots = [_RECORD_FIELDS.index(f) for f in filled.fields]
     out = list(records)
     for i, d, gaps in zip(filled.rows.tolist(), filled.donors.tolist(),
                           filled.gaps.tolist()):
         values = list(_record_values(records[i]))
-        donor = _record_values(records[d])
         for slot, gap in zip(slots, gaps):
             if gap:
-                values[slot] = donor[slot]
+                values[slot] = columns[slot][d]
         out[i] = PointRecord(*values)
     return out
-
-
-def outlier_report(
-    records: Sequence[PointRecord],
-    columns: Sequence[str] = BOXPLOT_COLUMNS,
-) -> BoxplotReport:
-    """Quartiles (linear interpolation), 1.5*IQR fences and outlier counts
-    of ``columns``, as ``table_outlier_report`` gives them."""
-    return table_outlier_report(PointTable.from_records(records), columns)

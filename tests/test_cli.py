@@ -311,6 +311,29 @@ def test_config_file_unknown_key(tmp_path):
     assert run("clean", "--config", config, "--data", "x.csv") == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("format = xml", "bad value for format: 'xml'"),
+    ("segmentation = match", "bad value for segmentation: 'match'"),
+    ("player = 3", "bad value for player: 3"),
+])
+def test_config_file_value_outside_the_flag_choices(tmp_path, tiny_csv, capsys, line,
+                                                    message):
+    config = tmp_path / "bad.conf"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run("clean", "--config", config, "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_indicators_on_one_segment_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "one-set.csv"
+    src.write_text(points_csv_text(make_timeline([1, 2, 1, 2]).records), newline="")
+    out = tmp_path / "out"
+    assert run("indicators", "--data", src, "--player", 1, "--out", out) == 2
+    assert capsys.readouterr().err == "data error: pca_reduce needs more than one row\n"
+
+
 # --- record laziness --------------------------------------------------------
 
 def _counted_record_builds(monkeypatch):

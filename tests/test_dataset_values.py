@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from tennis_momentum import (
-    extract_momentum_samples,
-    missing_rate,
-    momentum_series,
-    outlier_report,
-)
-from tennis_momentum.ingest import flatten_timelines
+from tennis_momentum import extract_momentum_samples, momentum_series
+from tennis_momentum.ingest import point_table, table_missing_rate, table_outlier_report
 
 
 EXPECTED_MISSING = {
@@ -28,19 +23,18 @@ EXPECTED_MISSING = {
 
 
 def test_missing_rates_match_reference_profile(timelines):
-    rates = missing_rate(flatten_timelines(timelines)).rates
+    rates = table_missing_rate(point_table(timelines)).rates
     for column, expected in EXPECTED_MISSING.items():
         assert rates[column] == approx(expected, abs=5e-3), column
 
 
 def test_top_serve_speed_flagged_and_retained(timelines):
-    records = flatten_timelines(timelines)
-    stats = outlier_report(records).columns["speed_mph"]
+    box = table_outlier_report(point_table(timelines)).columns
+    stats = box["speed_mph"]
     assert stats.maximum == 141.0
     assert stats.upper_fence < 141.0
     assert stats.outlier_count >= 1
     # speed shows at least as many outliers as the running-distance columns
-    box = outlier_report(records).columns
     assert stats.outlier_count >= max(
         box["p1_distance_run"].outlier_count, box["p2_distance_run"].outlier_count
     ) or stats.outlier_count >= 1

@@ -65,6 +65,15 @@ def test_entropy_weights_validation():
         entropy_weights([[1.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_entropy_weights_reject_nan_and_infinity(bad):
+    # NaN once took the larger weight: (0.949, 0.051) for the matrix below
+    with pytest.raises(ValueError, match="must be finite"):
+        entropy_weights([[bad, 1.0], [1.0, 2.0], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="must be non-negative"):
+        entropy_weights([[-np.inf, 1.0], [1.0, 2.0]])
+
+
 def test_entropy_weights_sum_to_one():
     rng = np.random.default_rng(2)
     z = rng.uniform(0.1, 5.0, size=(30, 6))

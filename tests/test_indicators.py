@@ -1,6 +1,7 @@
 import re
 import warnings
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pytest import approx
 from tennis_momentum import (
     DataQualityWarning,
     DegenerateRangeError,
+    InsufficientDataError,
     compute_indicators,
     normalize_minmax,
     pca_reduce,
@@ -24,12 +26,28 @@ from tennis_momentum.indicators import (
     IndicatorVector,
     indicator_matrix,
     indicator_table,
-    indicator_values,
-    indicator_vector,
-    segment_labels,
 )
 
 from conftest import make_record, make_timeline
+
+
+def one_segment(records, player):
+    """x1..x22 of ``player`` over ``records`` as one segment, and the kinds of
+    degenerate range the kernel flags for it."""
+    side = MatchTimeline(records[0].match_id, records).arrays.player(player)
+    matrix, degenerate = indicator_matrix(side, [0], [len(records)])
+    return IndicatorVector(*matrix[0].tolist()), {k for k, m in degenerate.items() if m[0]}
+
+
+# The reference oracles below read vectors and segment names with these.
+# x1..x22 of an IndicatorVector, as a tuple
+indicator_values = attrgetter(*INDICATOR_NAMES)
+
+
+def segment_labels(timeline, segmentation="set"):
+    """Segment names aligned with ``compute_indicators`` output."""
+    keys, _, _ = indicators._segments(timeline, segmentation)
+    return indicators._labels(keys, segmentation)
 
 
 def segment(spec):
@@ -55,7 +73,7 @@ def segment(spec):
 def test_high_scoring_rate_counts_score_states():
     # 8 points, own score at or above 40 in exactly 2 of them
     spec = [(1, s, 0) for s in [0, 15, 30, 40, 55, 0, 15, 30]]
-    vec = indicator_vector(segment(spec), player=1)
+    vec, _ = one_segment(segment(spec), player=1)
     assert vec.x6 == approx(0.25)
 
 
@@ -76,7 +94,7 @@ def test_serve_rate_identity():
                 p2_points_won=pw[1],
             )
         )
-    vec = indicator_vector(records, player=1)
+    vec, _ = one_segment(records, player=1)
     assert vec.x9 == 30 and vec.x10 == 10
     assert vec.x11 == approx(0.75)
     assert vec.x12 == approx(0.25)
@@ -84,7 +102,7 @@ def test_serve_rate_identity():
 
 
 def test_constant_distance_has_zero_variance():
-    vec = indicator_vector(segment([(1, 0, 0), (1, 15, 0)]), player=1)
+    vec, _ = one_segment(segment([(1, 0, 0), (1, 15, 0)]), player=1)
     assert vec.x22 == 0.0
 
 
@@ -99,7 +117,7 @@ def test_win_time_stability_telescopes():
         point_no=3, elapsed_seconds=180, point_victor=1, p1_score=30,
         p1_points_won=3, p2_points_won=0,
     )
-    vec = indicator_vector(records, player=1)
+    vec, _ = one_segment(records, player=1)
     # win durations: 40, 100, 40 -> sum of diffs = 0, over n=3
     assert vec.x2 == approx(60.0)
     assert vec.x3 == approx(0.0)
@@ -107,8 +125,8 @@ def test_win_time_stability_telescopes():
 
 def test_player_without_serve_points_gets_zero_rates():
     spec = [(2, 0, s) for s in [0, 15, 30, 40]]
-    with pytest.warns(DataQualityWarning):
-        vec = indicator_vector(segment(spec), player=1)
+    vec, degenerate = one_segment(segment(spec), player=1)
+    assert degenerate == {"no_wins", "no_serve_wins"}
     assert vec.x1 == 0.0
     assert vec.x11 == 0.0 and vec.x12 == 0.0
     assert 0.0 <= vec.x6 <= 1.0
@@ -254,6 +272,8 @@ def test_pca_rejects_bad_k():
         pca_reduce(data, 0)
     with pytest.raises(ValueError):
         pca_reduce(data, 5)
+    with pytest.raises(InsufficientDataError, match="more than one row"):
+        pca_reduce(data[:1], 1)
 
 
 def test_pca_zero_variance_column_warns():
@@ -485,7 +505,7 @@ def test_out_of_order_keys_are_rejected():
         for i, (s, g) in enumerate(keys)
     )
     timeline = MatchTimeline("m9", records)
-    for call in (compute_indicators, lambda tl, _p, seg: segment_labels(tl, seg)):
+    for call in (compute_indicators, lambda tl, p, seg: indicator_table([tl], [p], seg)):
         with pytest.raises(ValueError, match=r"match 'm9'.*\(1, 1\) follows \(1, 2\)"):
             call(timeline, 1, "game")
     # the set key alone is in order

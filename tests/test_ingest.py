@@ -22,8 +22,6 @@ from tennis_momentum import (
     UnknownMatchError,
     impute_missing,
     load_matches,
-    missing_rate,
-    outlier_report,
     parse_score_token,
 )
 from tennis_momentum import ingest
@@ -37,14 +35,26 @@ from tennis_momentum.ingest import (
     MatchArrays,
     MatchTimeline,
     PointRecord,
-    flatten_timelines,
     format_elapsed,
     parse_elapsed,
+    point_table,
     points_csv_text,
-    write_points_csv,
+    table_missing_rate,
+    table_outlier_report,
+    write_table_csv,
 )
 
 from conftest import make_record
+
+
+def flatten_timelines(timelines):
+    """Every point of ``timelines`` as a record, in order."""
+    return [r for tl in timelines for r in tl.records]
+
+
+def _table(records):
+    """``records`` as one PointTable, through a record-built timeline."""
+    return point_table([MatchTimeline(records[0].match_id, records)] if records else [])
 
 
 # --- score tokens ---------------------------------------------------------
@@ -228,11 +238,13 @@ def test_roundtrip_is_fixed_point(tmp_path):
     _write_csv(first, records)
     loaded = load_matches(first)
     second = tmp_path / "second.csv"
-    write_points_csv(flatten_timelines(loaded), second)
+    with second.open("w", encoding="utf-8", newline="") as fh:
+        write_table_csv(fh, point_table(loaded))
     reloaded = load_matches(second)
     assert flatten_timelines(reloaded) == flatten_timelines(loaded)
     third = tmp_path / "third.csv"
-    write_points_csv(flatten_timelines(reloaded), third)
+    with third.open("w", encoding="utf-8", newline="") as fh:
+        write_table_csv(fh, point_table(reloaded))
     assert second.read_text() == third.read_text()
 
 
@@ -701,18 +713,18 @@ def test_loaders_agree_on_a_scope_with_no_rows(tmp_path):
 
 def test_missing_rate_counts_single_gap():
     records = [make_record()] * 999 + [make_record(speed_mph=None)]
-    report = missing_rate(records)
+    report = table_missing_rate(_table(records))
     assert report.rates["speed_mph"] == approx(0.001)
 
 
 def test_missing_rate_zero_when_complete():
-    report = missing_rate([make_record(), make_record(point_no=2)])
+    report = table_missing_rate(_table([make_record(), make_record(point_no=2)]))
     assert all(rate == 0.0 for rate in report.rates.values())
 
 
 def test_missing_rate_empty_input():
     with pytest.raises(EmptyInputError):
-        missing_rate([])
+        table_missing_rate(point_table([]))
 
 
 # --- imputation -----------------------------------------------------------
@@ -763,7 +775,7 @@ def test_impute_fills_every_gap_when_donor_exists():
         make_record(point_no=3, serve_width=None),
         make_record(point_no=4, return_depth=None),
     ]
-    report = missing_rate(impute_missing(records))
+    report = table_missing_rate(_table(impute_missing(records)))
     assert all(rate == 0.0 for rate in report.rates.values())
 
 
@@ -779,13 +791,13 @@ def test_impute_without_complete_row_fails():
 # Oracle: one distance computation per incomplete row; impute_missing must
 # pick the same donors bit for bit.
 def _reference_impute(records):
-    absent = {f: np.isnan(ingest._column(records, f)) for f in ingest._OPTIONAL_FIELDS}
+    absent = {f: np.isnan(_reference_column(records, f)) for f in ingest._OPTIONAL_FIELDS}
     fillable = [f for f in ingest._OPTIONAL_FIELDS if not absent[f].all()]
     gaps = np.zeros(len(records), dtype=bool)
     for f in fillable:
         gaps |= absent[f]
     donor_indices = np.flatnonzero(~gaps)
-    matrix = np.column_stack([ingest._column(records, f) for f in ingest._NUMERIC_FIELDS])
+    matrix = np.column_stack([_reference_column(records, f) for f in ingest._NUMERIC_FIELDS])
     donors = matrix[donor_indices]
     out = list(records)
     for i in np.flatnonzero(gaps):
@@ -896,7 +908,7 @@ def test_boxplot_quartiles_linear_interpolation():
         make_record(point_no=i + 1, speed_mph=float(v))
         for i, v in enumerate([1, 2, 3, 4, 5, 6, 7, 8])
     ]
-    report = outlier_report(records, columns=("speed_mph",))
+    report = table_outlier_report(_table(records), columns=("speed_mph",))
     stats = report.columns["speed_mph"]
     assert stats.q1 == approx(2.75)
     assert stats.median == approx(4.5)
@@ -906,7 +918,8 @@ def test_boxplot_quartiles_linear_interpolation():
 
 def test_boxplot_constant_column():
     records = [make_record(point_no=i + 1, speed_mph=5.0) for i in range(4)]
-    stats = outlier_report(records, columns=("speed_mph",)).columns["speed_mph"]
+    report = table_outlier_report(_table(records), columns=("speed_mph",))
+    stats = report.columns["speed_mph"]
     assert stats.lower_fence == stats.upper_fence == 5.0
     assert stats.outlier_count == 0
 
@@ -919,7 +932,7 @@ def test_boxplot_short_column_skipped_with_warning():
         make_record(point_no=4, speed_mph=102.0),
     ]
     with pytest.warns(DataQualityWarning, match="speed_mph"):
-        report = outlier_report(records, columns=("speed_mph",))
+        report = table_outlier_report(_table(records), columns=("speed_mph",))
     assert report.skipped == ("speed_mph",)
 
 
@@ -928,7 +941,8 @@ def test_boxplot_flags_outlier_but_keeps_it():
     records = [
         make_record(point_no=i + 1, speed_mph=float(v)) for i, v in enumerate(speeds)
     ]
-    stats = outlier_report(records, columns=("speed_mph",)).columns["speed_mph"]
+    report = table_outlier_report(_table(records), columns=("speed_mph",))
+    stats = report.columns["speed_mph"]
     assert stats.maximum == 141.0
     assert stats.upper_fence < 141.0
     assert stats.outlier_count == 1
@@ -1103,7 +1117,34 @@ def _assert_clean_matches_reference(path):
     assert _clean_outcome(_column_clean, load_matches(path)) == expected
     built = [MatchTimeline(tl.match_id, tl.records) for tl in load_matches(path)]
     assert _clean_outcome(_column_clean, built) == expected
+    separate = [load_matches(path, tl.match_id)[0] for tl in load_matches(path)]
+    assert _clean_outcome(_column_clean, separate) == expected
     return expected
+
+
+def test_point_table_over_separate_loads_cleans_like_one_load(dataset_path):
+    ids = [tl.match_id for tl in load_matches(dataset_path)]
+    separate = [load_matches(dataset_path, match_id)[0] for match_id in ids]
+    # each load has its own value lists, so the table copies the points
+    assert separate[0]._columns is not separate[1]._columns
+    expected = _clean_outcome(_column_clean, load_matches(dataset_path))
+    assert "ImputationError" not in expected[1]
+    assert _clean_outcome(_column_clean, separate) == expected
+
+
+def test_record_built_timeline_holds_what_a_loaded_one_holds(dataset_path):
+    for loaded in load_matches(dataset_path):
+        built = MatchTimeline(loaded.match_id, loaded.records)
+        assert built.records is loaded.records
+        assert (built.match_id, built.players, len(built)) == (
+            loaded.match_id, loaded.players, len(loaded))
+        rows = loaded._rows.tolist()
+        assert built._columns == [list(map(c.__getitem__, rows)) for c in loaded._columns]
+        assert built._rows.tolist() == list(range(len(loaded)))
+        for field in fields(MatchArrays):
+            a, b = getattr(built.arrays, field.name), getattr(loaded.arrays, field.name)
+            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 1024])
@@ -1215,7 +1256,9 @@ def test_record_functions_match_reference_record_path(records, ad_token):
 
     expected = outcomes(_reference_missing_rate, _reference_outlier_report,
                         _reference_impute_missing, _reference_points_csv_text)
-    assert outcomes(missing_rate, outlier_report, impute_missing, points_csv_text) == expected
+    assert outcomes(lambda r: table_missing_rate(_table(r)),
+                    lambda r: table_outlier_report(_table(r)),
+                    impute_missing, points_csv_text) == expected
 
 
 def test_points_csv_text_writes_advantage_as_the_ad_token_on_request():

@@ -1,0 +1,38 @@
+import types
+
+import tennis_momentum
+
+# Every public name of the package root. A removal or an addition edits
+# this list on purpose.
+PUBLIC_NAMES = {
+    # errors
+    "DataError", "DataQualityWarning", "DegenerateRangeError", "EmptyInputError",
+    "ImputationError", "InsufficientDataError", "RowParseError", "SchemaError",
+    "UndefinedCorrelationError", "UnknownMatchError",
+    # ingest
+    "BoxplotReport", "MatchTimeline", "MissingReport", "PointRecord",
+    "impute_missing", "load_matches", "parse_score_token",
+    # indicators
+    "IndicatorVector", "PcaResult", "compute_indicators", "normalize_minmax",
+    "pca_reduce", "positivize",
+    # fuzzy
+    "FuzzyHierarchy", "MembershipVector", "MomentumPoint", "entropy_weights",
+    "evaluate_membership", "first_level_eval", "momentum_score", "momentum_series",
+    "second_level_eval",
+    # momentum
+    "CorrelationMatrix", "MomentumSample", "TurningPointStats", "correlation_matrix",
+    "detect_turning_points", "extra_feature_columns", "extract_momentum_samples",
+    "pearson", "turning_point_stats",
+    # grnn
+    "CvConfig", "EvalReport", "GrnnModel", "SweepResult", "evaluate",
+    "expand_features", "grnn_predict", "rank_extras_by_correlation", "train_cv",
+}
+
+
+def test_package_root_public_names_are_pinned():
+    public = {
+        name for name, value in vars(tennis_momentum).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_NAMES) == 50
+    assert public == PUBLIC_NAMES
