@@ -3,12 +3,13 @@
 
 Loads the point-by-point file once, runs every CLI subcommand on the loaded
 matches (clean and indicators over all of them, the rest on one match) and
-prints the produced files, the held-out prediction report, and the
-expansion summary. A missing or bad input file exits 2 with a
-``data error:`` line, as the CLI does.
+prints the produced files, then the held-out prediction report and the
+expansion summary of each ``--player`` (both with ``--player 0``). A
+missing or bad input file exits 2 with a ``data error:`` line, as the CLI
+does.
 
 Usage: python scripts/run_pipeline.py [--data data/sample_points.csv]
-       [--match 2023-wimbledon-1304] [--out out]
+       [--match 2023-wimbledon-1304] [--player 1] [--out out]
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tennis_momentum.cli import EXIT_DATA, main as cli_main  # noqa: E402
+from tennis_momentum.cli import EXIT_DATA, Outputs, RunConfig, main as cli_main  # noqa: E402
 from tennis_momentum.errors import DataError  # noqa: E402
 from tennis_momentum.ingest import load_matches  # noqa: E402
 
@@ -52,16 +53,20 @@ def main(argv=None):
                     "report"):
         run([command, *scoped], timelines)
 
-    match_dir = Path(args.out) / args.match
-    predict = json.loads(next(match_dir.glob("predict-report-p*.json")).read_text())
-    expand = json.loads(next(match_dir.glob("expand-summary-p*.json")).read_text())
-    print()
-    print(f"match {args.match}, player {args.player}")
-    print(f"  held-out MSE {predict['mse']:.4f}, ACC {predict['acc']:.4f} "
-          f"(sigma {predict['sigma']:.3f})")
-    print(f"  expansion: baseline ACC {expand['baseline_acc']:.4f} -> "
-          f"best {expand['best_acc']:.4f} with "
-          f"{expand['best_acc_features']} features")
+    # the files the scoped runs above wrote, named as the CLI named them
+    config = RunConfig(data=args.data, match=args.match, player=int(args.player),
+                       out=args.out)
+    outputs = Outputs(config)
+    for player in (1, 2) if config.player == 0 else (config.player,):
+        predict = json.loads(outputs.path(f"predict-report-p{player}", "json").read_text())
+        expand = json.loads(outputs.path(f"expand-summary-p{player}", "json").read_text())
+        print()
+        print(f"match {args.match}, player {player}")
+        print(f"  held-out MSE {predict['mse']:.4f}, ACC {predict['acc']:.4f} "
+              f"(sigma {predict['sigma']:.3f})")
+        print(f"  expansion: baseline ACC {expand['baseline_acc']:.4f} -> "
+              f"best {expand['best_acc']:.4f} with "
+              f"{expand['best_acc_features']} features")
 
 
 if __name__ == "__main__":

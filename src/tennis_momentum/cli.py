@@ -127,12 +127,6 @@ def _coerce(key: str, raw: str):
         raise UsageError(f"bad value for {key}: {raw!r}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @contextmanager
 def atomic_open(path: Path):
     """A text file in ``path``'s directory that replaces ``path`` when the
@@ -149,31 +143,60 @@ def atomic_open(path: Path):
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
 def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
     """Write a CSV table row by row into a temporary file, then rename it."""
     with atomic_open(path) as fh:
+        # csv.writer writes str(value); a float's str is its shortest round-trip text
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def write_table(path_base: Path, fmt: str, header: list[str], rows: list[list]):
-    """Emit a small table as CSV or JSON records depending on --format."""
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        write_json(path_base.with_suffix(".json"), payload)
-        return path_base.with_suffix(".json")
-    write_rows(path_base.with_suffix(".csv"), header, rows)
-    return path_base.with_suffix(".csv")
+class Outputs:
+    """The files of one command run, and the list of those written so far.
+
+    Each file is ``<out>/<--match or "all">/<name>-<digest>.<ext>``, where
+    the digest is ``RunConfig.digest()``; ``paths`` lists them in order.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.dir = Path(config.out) / (config.match or "all")
+        self.digest = config.digest()
+        self.format = config.format
+        self.paths: list[Path] = []
+
+    def path(self, name: str, ext: str) -> Path:
+        return self.dir / f"{name}-{self.digest}.{ext}"
+
+    @contextmanager
+    def open(self, name: str, ext: str):
+        """A text file to stream into, written as ``atomic_open`` does."""
+        path = self.path(name, ext)
+        with atomic_open(path) as fh:
+            yield fh
+        self.paths.append(path)
+
+    def csv(self, name: str, header: list[str], rows: list[list]) -> None:
+        path = self.path(name, "csv")
+        write_rows(path, header, rows)
+        self.paths.append(path)
+
+    def json(self, name: str, payload) -> None:
+        path = self.path(name, "json")
+        write_json(path, payload)
+        self.paths.append(path)
+
+    def table(self, name: str, header: list[str], rows: list[list]) -> None:
+        """A small table as CSV, or as JSON records with ``--format json``."""
+        if self.format == "json":
+            self.json(name, [dict(zip(header, row)) for row in rows])
+        else:
+            self.csv(name, header, rows)
 
 
 def _load(config: RunConfig) -> list[MatchTimeline]:
@@ -203,8 +226,12 @@ def _players(config: RunConfig) -> list[int]:
     raise UsageError(f"--player must be 1 or 2, got {config.player}")
 
 
-def _outdir(config: RunConfig, match_id: str) -> Path:
-    return Path(config.out) / (match_id or "all")
+def _player_samples(tl: MatchTimeline, config: RunConfig):
+    """(player, momentum samples) for each player of the run."""
+    for player in _players(config):
+        yield player, momentum.extract_momentum_samples(
+            tl, player, drop_final=config.drop_final
+        )
 
 
 def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
@@ -215,38 +242,18 @@ def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     box = table_outlier_report(points)
     filled = table_imputation(points)
 
-    outdir = _outdir(config, config.match)
-    digest = config.digest()
-    paths = []
-
-    clean_path = outdir / f"clean-{digest}.csv"
-    with atomic_open(clean_path) as fh:
+    out = Outputs(config)
+    with out.open("clean", "csv") as fh:
         write_table_csv(fh, points, filled)
-    paths.append(clean_path)
-
-    paths.append(
-        write_table(
-            outdir / f"missing-{digest}",
-            config.format,
-            ["column", "missing_rate"],
-            [[c, r] for c, r in sorted(before.rates.items())],
-        )
-    )
-    box_rows = [
+    out.table("missing", ["column", "missing_rate"], sorted(before.rates.items()))
+    header = ["column", "min", "q1", "median", "q3", "max",
+              "lower_fence", "upper_fence", "outlier_count"]
+    out.table("boxplot", header, [
         [c, s.minimum, s.q1, s.median, s.q3, s.maximum, s.lower_fence,
          s.upper_fence, s.outlier_count]
         for c, s in sorted(box.columns.items())
-    ]
-    paths.append(
-        write_table(
-            outdir / f"boxplot-{digest}",
-            config.format,
-            ["column", "min", "q1", "median", "q3", "max",
-             "lower_fence", "upper_fence", "outlier_count"],
-            box_rows,
-        )
-    )
-    return paths
+    ])
+    return out.paths
 
 
 def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
@@ -264,10 +271,9 @@ def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pa
         [*key, *values, *scores]
         for key, values, scores in zip(meta, matrix.tolist(), result.scores.tolist())
     ]
-    outdir = _outdir(config, config.match)
-    path = outdir / f"indicators-{config.digest()}.csv"
-    write_rows(path, header, full_rows)
-    return [path]
+    out = Outputs(config)
+    out.csv("indicators", header, full_rows)
+    return out.paths
 
 
 def cmd_evaluate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
@@ -277,64 +283,37 @@ def cmd_evaluate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path
         for point in momentum_series(tl, player, config.window):
             rows.append([tl.match_id, point.elapsed_seconds, player, point.score])
     rows.sort(key=lambda r: (r[1], r[2]))
-    outdir = _outdir(config, tl.match_id)
-    path = outdir / f"momentum-{config.digest()}.csv"
-    write_rows(path, ["match_id", "elapsed_seconds", "player", "momentum_score"], rows)
-    return [path]
+    out = Outputs(config)
+    out.csv("momentum", ["match_id", "elapsed_seconds", "player", "momentum_score"], rows)
+    return out.paths
 
 
 def cmd_correlate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
-    paths = []
-    for player in _players(config):
-        samples = momentum.extract_momentum_samples(
-            tl, player, drop_final=config.drop_final
-        )
+    out = Outputs(config)
+    for player, samples in _player_samples(tl, config):
         corr = momentum.correlation_matrix(samples)
-        keep = [
-            i
-            for i in range(len(corr.labels))
-            if not np.isnan(np.delete(corr.r[i], i)).all()
-        ]
+        keep = [i for i in range(len(corr.labels))
+                if not np.isnan(np.delete(corr.r[i], i)).all()]
         header = ["feature"] + [corr.labels[j] for j in keep]
-        rows = [
-            [corr.labels[i]] + [float(corr.r[i, j]) for j in keep]
-            for i in keep
-        ]
-        outdir = _outdir(config, tl.match_id)
-        path = outdir / f"correlation-p{player}-{config.digest()}.csv"
-        write_rows(path, header, rows)
-        paths.append(path)
-    return paths
+        rows = [[corr.labels[i]] + [float(corr.r[i, j]) for j in keep] for i in keep]
+        out.csv(f"correlation-p{player}", header, rows)
+    return out.paths
 
 
 def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
-    paths = []
-    outdir = _outdir(config, tl.match_id)
-    digest = config.digest()
-    for player in _players(config):
-        samples = momentum.extract_momentum_samples(
-            tl, player, drop_final=config.drop_final
-        )
+    out = Outputs(config)
+    for player, samples in _player_samples(tl, config):
         turns = momentum.detect_turning_points(
             samples, lookback=config.lookback, run_min=config.run_min
         )
-        dump_rows = []
-        for turn in turns:
-            for s in turn.window:
-                dump_rows.append(
-                    [turn.index, turn.direction, s.index, s.s1, s.s2, s.s3,
-                     s.s4, s.omega]
-                )
-        dump = outdir / f"turning-windows-p{player}-{digest}.csv"
-        write_rows(
-            dump,
-            ["turn_index", "direction", "sample_index", "S1", "S2", "S3", "S4",
-             "omega"],
-            dump_rows,
-        )
-        paths.append(dump)
+        header = ["turn_index", "direction", "sample_index", "S1", "S2", "S3", "S4",
+                  "omega"]
+        out.csv(f"turning-windows-p{player}", header, [
+            [turn.index, turn.direction, s.index, s.s1, s.s2, s.s3, s.s4, s.omega]
+            for turn in turns for s in turn.window
+        ])
 
         groups = momentum.group_turning_windows(turns)
         stat_rows = []
@@ -347,77 +326,43 @@ def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> lis
                         [direction, feature, s.mean, s.mode, s.variance,
                          s.trimmed_mean]
                     )
-        table = outdir / f"turning-stats-p{player}-{digest}.csv"
-        write_rows(
-            table,
-            ["direction", "feature", "mean", "mode", "variance", "trimmed_mean"],
-            stat_rows,
-        )
-        paths.append(table)
-    return paths
-
-
-def _prediction_inputs(tl: MatchTimeline, player: int, config: RunConfig):
-    samples = momentum.extract_momentum_samples(
-        tl, player, drop_final=config.drop_final
-    )
-    x, y = momentum.sample_matrix(samples)
-    return samples, x, y
-
-
-def _baseline_fit(tl: MatchTimeline, player: int, config: RunConfig, cv: grnn.CvConfig):
-    """Fit the GRNN on the chronological training prefix; score the rest."""
-    samples, x, y = _prediction_inputs(tl, player, config)
-    split = grnn.chronological_split(len(y), config.split_fraction)
-    model = grnn.train_cv(x[:split], y[:split], cv)
-    report = grnn.evaluate(model, x[split:], y[split:], config.threshold)
-    return samples, split, model, report
+        header = ["direction", "feature", "mean", "mode", "variance", "trimmed_mean"]
+        out.csv(f"turning-stats-p{player}", header, stat_rows)
+    return out.paths
 
 
 def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
-    paths = []
-    outdir = _outdir(config, tl.match_id)
-    digest = config.digest()
+    out = Outputs(config)
     cv = config.cv_config()
-    for player in _players(config):
-        _, split, model, report = _baseline_fit(tl, player, config, cv)
-        payload = {
+    for player, samples in _player_samples(tl, config):
+        split, model, report = grnn.fit_prefix(*momentum.sample_matrix(samples), cv)
+        out.json(f"predict-report-p{player}", {
             "match_id": tl.match_id,
             "player": player,
             "sigma": model.sigma,
-            "threshold": config.threshold,
+            "threshold": cv.decision_threshold,
             "n_train": int(split),
             "n_test": len(report.predictions),
             "mse": report.mse,
             "acc": report.acc,
             "cv_curve": [list(pair) for pair in model.cv_curve],
             "sigma_at_grid_edge": model.sigma in (cv.sigma_grid[0], cv.sigma_grid[-1]),
-        }
-        jpath = outdir / f"predict-report-p{player}-{digest}.json"
-        write_json(jpath, payload)
-        paths.append(jpath)
-
-        rows = [
+        })
+        header = ["sample_index", "actual", "predicted", "raw", "error"]
+        out.csv(f"predict-points-p{player}", header, [
             [split + i + 1, actual, predicted, raw, actual - raw]
             for i, (actual, predicted, raw) in enumerate(report.predictions)
-        ]
-        cpath = outdir / f"predict-points-p{player}-{digest}.csv"
-        write_rows(
-            cpath, ["sample_index", "actual", "predicted", "raw", "error"], rows
-        )
-        paths.append(cpath)
-    return paths
+        ])
+    return out.paths
 
 
 def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     tl = _select_match(timelines, config)
-    paths = []
-    outdir = _outdir(config, tl.match_id)
-    digest = config.digest()
+    out = Outputs(config)
     cv = config.cv_config()
-    for player in _players(config):
-        samples, x, y = _prediction_inputs(tl, player, config)
+    for player, samples in _player_samples(tl, config):
+        x, y = momentum.sample_matrix(samples)
         extras = momentum.extra_feature_columns(tl, player)
         extras = {k: v[: len(y)] for k, v in extras.items()}
         # rank on the training prefix only: the test labels stay unseen
@@ -427,22 +372,14 @@ def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
         )
         sweep = grnn.expand_features(x, extras, y, cv, ranked_names=order)
 
-        rows = [
-            [i, step.added_feature, step.feature_count, step.mse, step.acc,
-             step.sigma]
+        header = ["step", "added_feature", "feature_count", "mse", "acc", "sigma"]
+        out.csv(f"expand-p{player}", header, [
+            [i, step.added_feature, step.feature_count, step.mse, step.acc, step.sigma]
             for i, step in enumerate(sweep.steps)
-        ]
-        cpath = outdir / f"expand-p{player}-{digest}.csv"
-        write_rows(
-            cpath,
-            ["step", "added_feature", "feature_count", "mse", "acc", "sigma"],
-            rows,
-        )
-        paths.append(cpath)
+        ])
 
-        best_mse = sweep.best_by_mse
-        best_acc = sweep.best_by_acc
-        payload = {
+        best_mse, best_acc = sweep.best_by_mse, sweep.best_by_acc
+        out.json(f"expand-summary-p{player}", {
             "match_id": tl.match_id,
             "player": player,
             "baseline_mse": sweep.steps[0].mse,
@@ -451,11 +388,8 @@ def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
             "best_mse_features": best_mse.feature_count,
             "best_acc": best_acc.acc,
             "best_acc_features": best_acc.feature_count,
-        }
-        jpath = outdir / f"expand-summary-p{player}-{digest}.json"
-        write_json(jpath, payload)
-        paths.append(jpath)
-    return paths
+        })
+    return out.paths
 
 
 def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
@@ -470,8 +404,8 @@ def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
         "missing_rates": {k: v for k, v in sorted(rates.items())},
         "per_player": {},
     }
-    for player in _players(config):
-        samples, _, model, report = _baseline_fit(tl, player, config, cv)
+    for player, samples in _player_samples(tl, config):
+        _, model, report = grnn.fit_prefix(*momentum.sample_matrix(samples), cv)
         corr = momentum.correlation_matrix(samples)
         omega_row = {
             label: (None if np.isnan(corr.r[-1, i]) else float(corr.r[-1, i]))
@@ -481,10 +415,9 @@ def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
             "omega_correlations": omega_row,
             "baseline": {"mse": report.mse, "acc": report.acc, "sigma": model.sigma},
         }
-    outdir = _outdir(config, tl.match_id)
-    path = outdir / f"report-{config.digest()}.json"
-    write_json(path, payload)
-    return [path]
+    out = Outputs(config)
+    out.json("report", payload)
+    return out.paths
 
 
 _COMMANDS = {

@@ -237,6 +237,8 @@ def momentum_series(
     every indicator is min-max normalized across the match; group weights
     come from the entropy method over the per-window samples; membership,
     composition and scoring then yield one MomentumPoint per position.
+    The series is retrospective: the min-max ranges and the entropy weights
+    span the whole match, so later points change every earlier score.
     """
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")

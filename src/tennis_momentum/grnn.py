@@ -33,12 +33,15 @@ class CvConfig:
         if not self.sigma_grid:
             raise ValueError("sigma grid must be non-empty")
         grid = tuple(float(s) for s in self.sigma_grid)
-        if any(s <= 0 for s in grid):
-            raise ValueError("sigma values must be positive")
+        # each check is written so that NaN fails it
+        if not all(0.0 < s < np.inf for s in grid):
+            raise ValueError("sigma values must be positive and finite")
         if list(grid) != sorted(grid):
             raise ValueError("sigma grid must be sorted ascending")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
+        if not 0.0 <= self.decision_threshold <= 1.0:
+            raise ValueError("decision_threshold must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -255,6 +258,19 @@ def chronological_split(n: int, fraction: float) -> int:
     return min(max(split, 1), n - 1)
 
 
+def fit_prefix(
+    x: np.ndarray, y: np.ndarray, config: CvConfig
+) -> tuple[int, GrnnModel, EvalReport]:
+    """``train_cv`` on the chronological training prefix, ``evaluate`` on the rest.
+
+    Returns (split index, model, report). The split comes from
+    ``config.split_fraction``, the threshold from ``config.decision_threshold``.
+    """
+    split = chronological_split(len(y), config.split_fraction)
+    model = train_cv(x[:split], y[:split], config)
+    return split, model, evaluate(model, x[split:], y[split:], config.decision_threshold)
+
+
 def rank_extras_by_correlation(
     extras: Mapping[str, Sequence[float]], omega: Sequence[float]
 ) -> list[str]:
@@ -298,7 +314,6 @@ def expand_features(
     names = list(ranked_names)
     if not names:
         raise ValueError("at least one extra feature is required")
-    split = chronological_split(len(y), config.split_fraction)
 
     steps = []
     current = base
@@ -306,10 +321,7 @@ def expand_features(
         if name:
             col = np.asarray(extras_ranked[name], dtype=float).reshape(-1, 1)
             current = np.hstack([current, col])
-        model = train_cv(current[:split], y[:split], config)
-        report = evaluate(
-            model, current[split:], y[split:], config.decision_threshold
-        )
+        _, model, report = fit_prefix(current, y, config)
         steps.append(
             SweepStep(
                 added_feature=name,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tennis_momentum import cli
 from tennis_momentum.cli import main, parse_config_file
 from tennis_momentum.ingest import points_csv_text
 
@@ -194,6 +195,19 @@ def test_predict_threshold_zero_accuracy_equals_base_rate(tmp_path):
     assert report["acc"] == pytest.approx(base_rate)
 
 
+@pytest.mark.parametrize("setting", [
+    ("--threshold", "nan"), ("--threshold", "1.5"), ("--sigma-min", "nan"),
+    ("--sigma-max", "nan"), ("--sigma-max", "inf"),
+])
+def test_non_finite_model_settings_are_usage_errors(dataset_path, tmp_path, capsys,
+                                                    setting):
+    out = tmp_path / "out"
+    assert run("predict", "--data", dataset_path, "--match", "2023-wimbledon-1310",
+               "--player", 1, *setting, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("usage error: ")
+    assert not out.exists()
+
+
 def test_subcommands_are_byte_deterministic(tmp_path, dataset_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -285,6 +299,61 @@ def test_report_includes_metrics(tmp_path, dataset_path):
     per = payload["per_player"]["1"]
     assert 0.0 <= per["baseline"]["acc"] <= 1.0
     assert set(per["omega_correlations"]) == {"S1", "S2", "S3", "S4"}
+
+
+SMALL_MODEL = ["--sigma-count", 4, "--folds", 3]
+
+
+@pytest.mark.parametrize("command,options", [
+    ("clean", []), ("clean", ["--format", "json"]), ("indicators", []),
+    ("evaluate", []), ("correlate", []), ("turning-points", []), ("predict", SMALL_MODEL),
+    ("expand", SMALL_MODEL), ("report", SMALL_MODEL),
+])
+def test_printed_paths_are_the_files_written(dataset_path, tmp_path, capsys, command,
+                                             options):
+    scope = [] if command in ("clean", "indicators") else ["--match", "2023-wimbledon-1304"]
+    out = tmp_path / "out"
+    assert run(command, "--data", dataset_path, "--out", out, *scope, *options) == 0
+    printed = capsys.readouterr().out.splitlines()
+    # every file under --out, hidden temporary files included
+    written = sorted(str(p) for p in out.rglob("*") if p.is_file())
+    assert sorted(printed) == written and len(set(printed)) == len(printed)
+    assert not list(out.rglob(".tmp-*"))
+
+
+def test_predict_report_and_expand_step_zero_publish_one_fit(dataset_path, tmp_path):
+    common = ["--data", dataset_path, "--match", "2023-wimbledon-1310", "--player", 2,
+              *SMALL_MODEL, "--out", tmp_path]
+    for command in ("predict", "report", "expand"):
+        assert run(command, *common) == 0
+    match_dir = tmp_path / "2023-wimbledon-1310"
+    predict = json.loads(next(match_dir.glob("predict-report-p2-*.json")).read_text())
+    report = json.loads(next(match_dir.glob("report-*.json")).read_text())
+    with next(match_dir.glob("expand-p2-*.csv")).open(newline="") as fh:
+        step0 = next(csv.DictReader(fh))
+    fit = (predict["mse"], predict["acc"], predict["sigma"])
+    baseline = report["per_player"]["2"]["baseline"]
+    assert (baseline["mse"], baseline["acc"], baseline["sigma"]) == fit
+    assert (float(step0["mse"]), float(step0["acc"]), float(step0["sigma"])) == fit
+
+
+def test_every_csv_output_goes_through_write_rows(dataset_path, tmp_path, capsys,
+                                                  monkeypatch):
+    # the benchmark times CSV writing as the span of cli.write_rows
+    calls = []
+    real = cli.write_rows
+
+    def counting(path, header, rows):
+        calls.append(str(path))
+        real(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_rows", counting)
+    for command in ("evaluate", "predict", "expand"):
+        assert run(command, "--data", dataset_path, "--match", "2023-wimbledon-1304",
+                   *SMALL_MODEL, "--out", tmp_path) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert calls == [p for p in printed if p.endswith(".csv")]
+    assert len(calls) == 1 + 2 + 2  # momentum; points and sweep per player
 
 
 def test_config_file_layering(tmp_path, tiny_csv):

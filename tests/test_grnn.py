@@ -373,6 +373,43 @@ def test_cv_config_validation():
     assert grid[0] == approx(0.01) and grid[-1] == approx(2.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("settings", [
+    {"sigma_grid": (NAN,)},
+    {"sigma_grid": (0.1, NAN)},
+    {"sigma_grid": (0.1, INF)},
+    {"sigma_grid": (0.0, 0.1)},
+    {"sigma_grid": (-INF, 0.1)},
+    {"decision_threshold": NAN},
+    {"decision_threshold": -0.1},
+    {"decision_threshold": 1.5},
+    {"split_fraction": NAN},
+])
+def test_cv_config_rejects_non_finite_and_out_of_range_settings(settings):
+    with pytest.raises(ValueError):
+        CvConfig(**settings)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_cv_config_accepts_threshold_bounds(threshold):
+    assert CvConfig(decision_threshold=threshold).decision_threshold == threshold
+
+
+def test_fit_prefix_trains_on_the_prefix_and_scores_the_rest():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(40, 3))
+    y = (rng.uniform(size=40) > 0.5).astype(float)
+    config = CvConfig(folds=3, sigma_grid=(0.05, 0.2, 0.8), split_fraction=0.6,
+                      decision_threshold=0.4)
+    split, model, report = grnn.fit_prefix(x, y, config)
+    assert split == chronological_split(40, 0.6) == 24
+    alone = train_cv(x[:24], y[:24], config)
+    assert (model.sigma, model.cv_curve) == (alone.sigma, alone.cv_curve)
+    assert report == evaluate(alone, x[24:], y[24:], 0.4)
+
+
 def test_fold_boundaries_partition():
     bounds = fold_boundaries(23, 5)
     assert bounds[0][0] == 0 and bounds[-1][1] == 23

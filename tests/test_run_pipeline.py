@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 import subprocess
 import sys
 
@@ -64,6 +65,21 @@ def test_pipeline_writes_what_separate_cli_runs_write(pipeline_run, dataset_path
     produced = _files(out)
     assert len(produced) == 13
     assert produced == _files(separate)
+
+
+def test_summary_reads_the_files_of_its_own_run(pipeline, dataset_path, tmp_path, capsys):
+    def summary(player):
+        pipeline.main(["--data", str(dataset_path), "--match", MATCH, "--player", player,
+                       "--out", str(tmp_path)])
+        return capsys.readouterr().out.split("\n\n", 1)[1]  # after the list of paths
+
+    first, second = summary("1"), summary("2")
+    # one digest per player so far, so each glob matches one file
+    report = json.loads(next((tmp_path / MATCH).glob("predict-report-p2-*.json")).read_text())
+    assert second.startswith(f"match {MATCH}, player 2\n")
+    assert f"MSE {report['mse']:.4f}, ACC {report['acc']:.4f} " in second
+    assert first != second
+    assert summary("0") == first + "\n" + second
 
 
 def _run_script(*args, cwd):
