@@ -70,6 +70,9 @@ class RunConfig:
     drop_final: bool = True
 
     def cv_config(self) -> grnn.CvConfig:
+        # NaN fails the comparisons too; np.geomspace would warn first
+        if not (0 < self.sigma_min < np.inf and 0 < self.sigma_max < np.inf):
+            raise UsageError("sigma_min and sigma_max must be positive and finite")
         grid = tuple(
             float(s) for s in np.geomspace(self.sigma_min, self.sigma_max, self.sigma_count)
         )

@@ -367,14 +367,11 @@ def parse_score_token(token: str) -> int:
 
 
 def parse_elapsed(text: str) -> int:
-    """Parse ``h:mm:ss`` elapsed time to integer seconds."""
-    parts = text.strip().split(":")
-    if len(parts) != 3:
-        raise ValueError(f"elapsed time {text!r} is not h:mm:ss")
-    h, m, s = (int(p) for p in parts)
-    if h < 0 or not (0 <= m < 60) or not (0 <= s < 60):
-        raise ValueError(f"elapsed time {text!r} out of range")
-    return h * 3600 + m * 60 + s
+    """Parse ``h:mm:ss`` elapsed time to integer seconds, below 2**53."""
+    values, _, bad = _column_elapsed([text])
+    if bad:
+        raise ValueError(bad[1])
+    return values[0]
 
 
 def format_elapsed(seconds: int) -> str:
@@ -383,120 +380,125 @@ def format_elapsed(seconds: int) -> str:
     return f"{h}:{m:02d}:{s:02d}"
 
 
-def _text(cell: str) -> str:
-    if not cell:
-        raise ValueError("empty required text field")
-    return cell
-
-
-def _int_where(allowed, rule: str):
-    def parse(cell: str) -> int:
-        n = int(cell)
-        if not allowed(n):
-            raise ValueError(rule)
-        return n
-
-    return parse
-
-
-def _nonnegative_float(cell: str) -> float:
-    x = float(cell)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError("must be a non-negative finite number")
-    return x
-
-
-def _optional(parse):
-    return lambda cell: parse(cell) if cell else None
-
-
-_one_or_two = _int_where(lambda n: n in (1, 2), "must be 1 or 2")
-
-# One parser per kind; each takes a stripped cell and raises ValueError.
-_PARSERS = {
-    "str": _text,
-    "opt_str": lambda cell: cell or None,
-    "elapsed": parse_elapsed,
-    "posint": _int_where(lambda n: n > 0, "must be positive"),
-    "nonnegint": _int_where(lambda n: n >= 0, "must be non-negative"),
-    "score": parse_score_token,
-    "one_or_two": _one_or_two,
-    "opt_one_or_two": _optional(_one_or_two),
-    "opt_float": _optional(_nonnegative_float),
-    "flag": _optional(_int_where(lambda n: n in (0, 1), "must be 0 or 1")),
-}
-
-
-# Column parsers: one per kind, over a whole column of raw (unstripped)
-# cells. Each returns the values ``_PARSERS`` would give, and for numeric
-# kinds the same values as floats (None as NaN). They take only the common
-# spellings and raise ValueError, KeyError or OverflowError on anything
-# else, valid or not; the cell parsers then handle the rows.
+# Column parsers, one per kind, over a column of raw cells. Each returns the
+# values, for numeric kinds the floats too (None as NaN), and its first bad
+# cell as (position, message) or None. The common spellings are read in one
+# pass; a column holding any other is read by the kind's conversion of each
+# stripped cell. The range rules, (test, message) pairs, then test the floats.
 def _column_text(required: bool):
     def parse(cells):
         values = list(map(str.strip, cells))
-        if required and "" in values:
-            raise ValueError("empty required text field")
-        return values, None
+        bad = required and "" in values and (values.index(""), "empty required text field")
+        return values, None, bad or None
 
     return parse
 
 
-def _column_ints(allowed):
+def _convert_cells(convert, cells):
+    """Each stripped cell converted, None where it fails; the first failure."""
+    values, failed = [], None
+    for i, cell in enumerate(cells):
+        try:
+            values.append(convert(cell.strip()))
+        except ValueError as exc:
+            values.append(None)
+            failed = failed or (i, str(exc))
+    return values, failed
+
+
+def _float(value) -> float:
+    """None as NaN, and an integer past the float range as +-inf."""
+    try:
+        return math.nan if value is None else float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _first_bad(cells, values, floats, rules, failed, nan_values=False):
+    """The first of ``failed`` and the present cells before it breaking a rule.
+    Absent cells (None) are NaN and pass; a present one is NaN only if ``nan_values``."""
+    stop = failed[0] if failed else len(cells)
+    x = floats[..., :stop]
+    ok = rules[0][0](x)
+    for test, _ in rules[1:]:
+        ok &= test(x)
+    bad = stop - np.count_nonzero(ok)
+    if bad and bad > (values[:stop].count(None) if nan_values else np.isnan(x).sum()):
+        i = next(i for i in np.flatnonzero(~ok).tolist() if values[i] is not None)
+        message = next(m for test, m in rules if not test(floats[..., i:i + 1]).all())
+        return i, message.format(cells[i].strip())
+    return failed
+
+
+def _column(convert, rules=(), table=None, fast=None, nan_values=False):
+    """A kind's column parser. ``convert`` reads one stripped cell, None if
+    absent; common spellings are read by ``table``, whose values pass the
+    rules, or by ``fast``."""
     def parse(cells):
-        values = list(map(int, cells))
-        floats = np.array(values, dtype=float)
-        if not allowed(floats).all():
-            raise ValueError("out of range")
-        return values, floats
+        try:
+            if table:
+                values = list(map(table.__getitem__, cells))
+                return values, np.array(values, dtype=float), None
+            values = fast(cells) if fast else list(map(convert, cells))
+            floats, failed = np.array(values, dtype=float), None
+        except (ValueError, KeyError, OverflowError):
+            values, failed = _convert_cells(convert, cells)
+            floats = np.array(list(map(_float, values)))
+        if rules:
+            failed = _first_bad(cells, values, floats, rules, failed, nan_values)
+        return values, floats, failed
 
     return parse
 
 
-def _column_tokens(table: dict):
-    def parse(cells):
-        values = list(map(table.__getitem__, cells))
-        return values, np.array(values, dtype=float)
+def _integers(allowed, rule: str, table=None):
+    """Integers below 2**53, which floats hold exactly; optional if ``table`` maps ""."""
+    convert = (lambda cell: int(cell) if cell else None) if table and "" in table else int
+    below = (lambda x: x < 2**53, "must be below 2**53")
+    return _column(convert, [(allowed, rule), below], table)
 
-    return parse
+
+def _hms(cell: str) -> list[float]:
+    parts = cell.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"elapsed time {cell!r} is not h:mm:ss")
+    return list(map(_float, map(int, parts)))
 
 
 def _column_elapsed(cells):
     parts = [cell.split(":") for cell in cells]
-    if set(map(len, parts)) != {3}:
-        raise ValueError("not h:mm:ss")
-    h, m, s = (np.array(list(map(int, part)), dtype=float) for part in zip(*parts))
-    # below 2**32 hours the float sums are exact
-    if not ((h >= 0) & (h < 2**32) & (m >= 0) & (m < 60) & (s >= 0) & (s < 60)).all():
-        raise ValueError("out of range")
+    try:  # ragged, or not three parts: ValueError
+        h, m, s = hms = np.array([list(map(int, p)) for p in zip(*parts, strict=True)], float)
+        failed = None
+    except (ValueError, OverflowError):
+        rows, failed = _convert_cells(_hms, cells)
+        hms = np.array([row or [math.nan] * 3 for row in rows]).T
+    # beyond 2**64 is out of range anyway, and the sums cannot overflow
+    h, m, s = hms = np.clip(hms, -(2.0**64), 2.0**64)
     floats = h * 3600 + m * 60 + s
-    return floats.astype(np.int64).tolist(), floats
+    rule = (lambda t: (t >= 0).all(0) & (t[1:] < 60).all(0)
+            & (t[0] * 3600 + t[1] * 60 + t[2] < 2**53))
+    bad = _first_bad(cells, cells, hms, [(rule, "elapsed time {!r} out of range")], failed)
+    return (None if bad else floats.astype(np.int64).tolist()), floats, bad
 
 
-def _column_optional_floats(cells):
-    if "" in cells:
-        values = [float(cell) if cell else None for cell in cells]
-    else:
-        values = list(map(float, cells))
-    floats = np.array(values, dtype=float)
-    # absent cells are NaN and fail the test, so count the present ones
-    valid = np.count_nonzero((floats >= 0) & (floats < np.inf))
-    if valid != len(values) - values.count(None):
-        raise ValueError("must be a non-negative finite number")
-    return values, floats
-
-
-_COLUMN_PARSERS = {
+_ONE_OR_TWO = (lambda x: (x == 1) | (x == 2), "must be 1 or 2")
+_PARSE_COLUMN = {
     "str": _column_text(required=True),
     "opt_str": _column_text(required=False),
     "elapsed": _column_elapsed,
-    "posint": _column_ints(lambda x: x > 0),
-    "nonnegint": _column_ints(lambda x: x >= 0),
-    "score": _column_tokens(SCORE_POINTS),
-    "one_or_two": _column_tokens({"1": 1, "2": 2}),
-    "opt_one_or_two": _column_tokens({"1": 1, "2": 2, "": None}),
-    "opt_float": _column_optional_floats,
-    "flag": _column_tokens({"0": 0, "1": 1, "": None}),
+    "posint": _integers(lambda x: x > 0, "must be positive"),
+    "nonnegint": _integers(lambda x: x >= 0, "must be non-negative"),
+    "score": _column(parse_score_token, table=SCORE_POINTS),
+    "one_or_two": _integers(*_ONE_OR_TWO, {"1": 1, "2": 2}),
+    "opt_one_or_two": _integers(*_ONE_OR_TWO, {"1": 1, "2": 2, "": None}),
+    "opt_float": _column(lambda cell: float(cell) if cell else None,
+                         [(lambda x: (x >= 0) & (x < np.inf),
+                           "must be a non-negative finite number")],
+                         fast=lambda cells: [float(c) if c else None for c in cells],
+                         nan_values=True),
+    "flag": _integers(lambda x: (x == 0) | (x == 1), "must be 0 or 1",
+                      {"0": 0, "1": 1, "": None}),
 }
 
 # Rows read and parsed together: bounds the raw cells held at once.
@@ -528,12 +530,15 @@ class _ParsedColumns:
         if min(map(len, block)) < self.width:  # missing trailing cells read as empty
             block = [row + [""] * (self.width - len(row)) for row in block]
         cells = list(zip(*block))
-        try:
-            parsed = [_COLUMN_PARSERS[kind](cells[index]) for _, index, kind in self.plan]
-        except (ValueError, KeyError, OverflowError):
-            parsed = self._parse_rows(block, numbers)
+        parsed = [_PARSE_COLUMN[kind](cells[index]) for _, index, kind in self.plan]
+        bad = [(b[0], j, b[1]) for j, (_, _, b) in enumerate(parsed) if b]
+        if bad:  # the first row's, then in it the first field's in schema order
+            position, j, message = min(bad)
+            field, index, _ = self.plan[j]
+            cell = block[position][index].strip()
+            raise RowParseError(numbers[position], f"bad {field} value {cell!r}: {message}")
         numeric = {}
-        for (field, _, kind), (values, floats) in zip(self.plan, parsed):
+        for (field, _, kind), (values, floats, _) in zip(self.plan, parsed):
             if kind in _TEXT_KINDS:
                 values = list(map(self.text.setdefault, values, values))
             numeric[field] = floats
@@ -541,23 +546,6 @@ class _ParsedColumns:
         nan = np.full(len(block), np.nan)  # an optional column missing from the header
         self.floats.append(np.stack([numeric.get(f, nan) for f in _FLOAT_FIELDS]))
         self.numbers.extend(numbers)
-
-    def _parse_rows(self, block, numbers):
-        """Parse cell by cell, raising at the first bad cell in row order."""
-        rows = []
-        for number, row in zip(numbers, block):
-            values = []
-            try:
-                for field, index, kind in self.plan:
-                    cell = row[index].strip()
-                    values.append(_PARSERS[kind](cell))
-            except ValueError as exc:
-                raise RowParseError(number, f"bad {field} value {cell!r}: {exc}") from exc
-            rows.append(values)
-        return [
-            (list(values), None if kind in _TEXT_KINDS else np.array(values, dtype=float))
-            for values, (_, _, kind) in zip(zip(*rows), self.plan)
-        ]
 
     def timelines(self) -> list[MatchTimeline]:
         """One timeline per match id, sorted by id; points by (set, game, point)."""
@@ -578,11 +566,8 @@ class _ParsedColumns:
         if repeats.size:
             a, b = order[repeats[0]], order[repeats[0] + 1]
             key_b = tuple(self.values[f][b] for f in ("set_no", "game_no", "point_no"))
-            raise RowParseError(
-                int(numbers[b]),
-                f"match {ids[b]}: duplicate point key {key_b} "
-                f"(rows {numbers[a]} and {numbers[b]})",
-            )
+            raise RowParseError(int(numbers[b]), f"match {ids[b]}: duplicate point key {key_b}"
+                                f" (rows {numbers[a]} and {numbers[b]})")
 
         absent = [None] * n  # an optional column missing from the header
         columns = [self.values.get(field, absent) for field in _RECORD_FIELDS]
@@ -629,18 +614,12 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
                 raise SchemaError(missing)
             unknown = [c for c in header if c not in _FIELD_FOR_COLUMN]
             if unknown:
-                warnings.warn(
-                    f"ignoring unrecognised columns: {', '.join(unknown)}",
-                    DataQualityWarning,
-                    stacklevel=2,
-                )
+                warnings.warn(f"ignoring unrecognised columns: {', '.join(unknown)}",
+                              DataQualityWarning, stacklevel=2)
             # a repeated column reads its last occurrence
             position = {c: i for i, c in enumerate(header)}
-            plan = [
-                (field, position[c], kind)
-                for c, field, kind in _COLUMN_SPEC
-                if c in position
-            ]
+            plan = [(field, position[c], kind) for c, field, kind in _COLUMN_SPEC
+                    if c in position]
             parsed = _ParsedColumns(plan, len(header))
             id_index = position["match_id"]
             skipped: set[str] = set()  # match ids of the rows left unparsed
@@ -947,10 +926,6 @@ def _write_point_rows(fh, rows: Iterable[Sequence], ad_token: bool = False) -> N
     writer.writerows(
         ["" if v is None else fmt(v) for fmt, v in zip(formats, row)] for row in rows
     )
-
-
-# Record-level functions: the CSV text writer shares the row renderer;
-# imputation runs the table function on the records' values.
 
 
 def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:

@@ -18,7 +18,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataQualityWarning, EmptyInputError, UndefinedCorrelationError
+from .errors import (
+    DataQualityWarning,
+    EmptyInputError,
+    InsufficientDataError,
+    UndefinedCorrelationError,
+)
 from .ingest import EVENT_FLAGS, MatchTimeline
 
 FEATURE_NAMES = ("S1", "S2", "S3", "S4")
@@ -126,7 +131,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("inputs must be 1-D and of equal length")
     if xa.size < 2:
-        raise ValueError("need at least two observations")
+        raise InsufficientDataError("need at least two observations")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sxx = float(dx @ dx)
@@ -144,7 +149,7 @@ def correlation_matrix(samples: Sequence[MomentumSample]) -> CorrelationMatrix:
     so they can be excluded from heatmap exports.
     """
     if len(samples) < 2:
-        raise ValueError("need at least two samples")
+        raise InsufficientDataError("need at least two samples")
     x, y = sample_matrix(samples)
     data = np.column_stack([x, y])
     k = data.shape[1]

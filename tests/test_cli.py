@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -197,15 +198,29 @@ def test_predict_threshold_zero_accuracy_equals_base_rate(tmp_path):
 
 @pytest.mark.parametrize("setting", [
     ("--threshold", "nan"), ("--threshold", "1.5"), ("--sigma-min", "nan"),
-    ("--sigma-max", "nan"), ("--sigma-max", "inf"),
+    ("--sigma-max", "nan"), ("--sigma-max", "inf"), ("--sigma-min", "-1"),
 ])
 def test_non_finite_model_settings_are_usage_errors(dataset_path, tmp_path, capsys,
                                                     setting):
     out = tmp_path / "out"
-    assert run("predict", "--data", dataset_path, "--match", "2023-wimbledon-1310",
-               "--player", 1, *setting, "--out", out) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("predict", "--data", dataset_path, "--match", "2023-wimbledon-1310",
+                   "--player", 1, *setting, "--out", out) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err.splitlines()[-1].startswith("usage error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", range(2, 7))
+def test_short_match_is_a_data_error_or_runs(dataset_path, tmp_path, capsys, points):
+    match = "2023-wimbledon-1304"
+    lines = dataset_path.read_text().splitlines()
+    data = tmp_path / "short.csv"
+    data.write_text("\n".join(lines[:1] + [ln for ln in lines if ln.startswith(match)][:points]))
+    for command in sorted(cli._COMMANDS):
+        code = run(command, "--data", data, "--match", match, "--out", tmp_path / "out")
+        assert code in (0, 2), (command, capsys.readouterr().err)
 
 
 def test_subcommands_are_byte_deterministic(tmp_path, dataset_path):

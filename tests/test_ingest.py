@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import warnings
 from dataclasses import fields, replace
 from operator import attrgetter
@@ -28,7 +29,7 @@ from tennis_momentum import ingest
 from tennis_momentum.ingest import (
     _COLUMN_SPEC,
     _FIELD_FOR_COLUMN,
-    _PARSERS,
+    SCORE_POINTS,
     CSV_COLUMNS,
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
@@ -411,8 +412,72 @@ def test_load_inverts_points_csv_text(tmp_path, records, ad_token):
 
 # --- loader oracle --------------------------------------------------------
 
-# Oracle: the row-by-row loader that the columnar one replaced, verbatim.
-# load_matches must give the same timelines, warnings and errors.
+# Oracle: the row-by-row loader that the columnar one replaced, verbatim,
+# with its own cell parsers. load_matches must give the same timelines,
+# warnings and errors.
+def _score_token(token: str) -> int:
+    key = token.strip()
+    if key not in SCORE_POINTS:
+        raise ValueError(f"unknown score token {token!r}")
+    return SCORE_POINTS[key]
+
+
+def _elapsed(text: str) -> int:
+    parts = text.strip().split(":")
+    if len(parts) != 3:
+        raise ValueError(f"elapsed time {text!r} is not h:mm:ss")
+    h, m, s = (int(p) for p in parts)
+    if h < 0 or not (0 <= m < 60) or not (0 <= s < 60) or h * 3600 + m * 60 + s >= 2**53:
+        raise ValueError(f"elapsed time {text!r} out of range")
+    return h * 3600 + m * 60 + s
+
+
+def _text(cell: str) -> str:
+    if not cell:
+        raise ValueError("empty required text field")
+    return cell
+
+
+def _int_where(allowed, rule: str):
+    def parse(cell: str) -> int:
+        n = int(cell)
+        if not allowed(n):
+            raise ValueError(rule)
+        if n >= 2**53:
+            raise ValueError("must be below 2**53")
+        return n
+
+    return parse
+
+
+def _nonnegative_float(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x) or x < 0:
+        raise ValueError("must be a non-negative finite number")
+    return x
+
+
+def _optional(parse):
+    return lambda cell: parse(cell) if cell else None
+
+
+_one_or_two = _int_where(lambda n: n in (1, 2), "must be 1 or 2")
+
+# One parser per kind; each takes a stripped cell and raises ValueError.
+_PARSERS = {
+    "str": _text,
+    "opt_str": lambda cell: cell or None,
+    "elapsed": _elapsed,
+    "posint": _int_where(lambda n: n > 0, "must be positive"),
+    "nonnegint": _int_where(lambda n: n >= 0, "must be non-negative"),
+    "score": _score_token,
+    "one_or_two": _one_or_two,
+    "opt_one_or_two": _optional(_one_or_two),
+    "opt_float": _optional(_nonnegative_float),
+    "flag": _optional(_int_where(lambda n: n in (0, 1), "must be 0 or 1")),
+}
+
+
 def _reference_load_matches(path, match_id=None):
     """Read a point-by-point CSV into one ordered timeline per match.
 
@@ -565,9 +630,13 @@ _ODD_CELLS = {
     "str": ["", " ", " m1 "],
     "opt_str": ["", " ", " W "],
     "elapsed": ["1:2", "1:2:3:4", "0:60:00", "0:00:60", "-1:00:00", "x:00:00", "",
-                " 0:01:02 ", "0:1:2", "+1:00:05", "1_0:00:00"],
-    "posint": ["0", "-1", "x", "", "1.5", "nan", " 1", "+1", "01", "1_0", "\u0663"],
-    "nonnegint": ["-1", "x", "", "1e2", " 0", "-0", "400"],
+                " 0:01:02 ", "0:1:2", "+1:00:05", "1_0:00:00",
+                # 2**53 - 1 and 2**53 seconds; parts near and past the float range
+                "2501999792983:36:31", "2501999792983:36:32",
+                "9" * 306 + ":00:00", "9" * 400 + ":00:00", "0:" + "9" * 400 + ":00"],
+    "posint": ["0", "-1", "x", "", "1.5", "nan", " 1", "+1", "01", "1_0", "\u0663",
+               str(2**53), str(2**53 - 1), "9" * 400, "-" + "9" * 400],
+    "nonnegint": ["-1", "x", "", "1e2", " 0", "-0", "400", str(2**53 + 1), "9" * 400],
     "score": ["7", "", "ad", " AD", "55", " 15 ", "015"],
     "one_or_two": ["0", "3", "", "1.0", " 2", "+1", "01"],
     "opt_one_or_two": ["0", "3", "x", " ", "02", " 1 "],
@@ -664,6 +733,14 @@ def test_loaders_agree_on_a_bad_cell_in_each_column(tmp_path, column, kind):
     assert error[1].startswith(f"row 2: bad {_FIELD_FOR_COLUMN[column]} value ")
     if column != "match_id":  # a blank id is another match's row when scoped
         assert _agree(tmp_path, _csv_text(rows), match_id="m1")[1] == error
+
+
+@pytest.mark.parametrize("cell", [str(2**53), str(2**53 + 1), "9" * 400])
+def test_loaders_reject_integers_from_2_to_the_53(tmp_path, cell):
+    rows = _set_cell(_three_points(), 2, "p1_points_won", cell)
+    _, error, _ = _agree(tmp_path, _csv_text(rows))
+    assert error == (RowParseError,
+                     f"row 2: bad p1_points_won value {cell!r}: must be below 2**53")
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 1024])
