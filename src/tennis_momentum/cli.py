@@ -10,8 +10,6 @@ previous outputs and nothing else. All writes are atomic
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import hashlib
@@ -19,8 +17,9 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +29,14 @@ from .errors import DataError, UnknownMatchError
 from .fuzzy import momentum_series
 from .indicators import INDICATOR_NAMES, indicator_table, pca_reduce
 from .ingest import (
+    CSV_COLUMNS,
     MatchTimeline,
     load_matches,
     point_table,
+    table_csv_rows,
     table_imputation,
     table_missing_rate,
     table_outlier_report,
-    write_table_csv,
 )
 
 EXIT_OK = 0
@@ -49,15 +49,25 @@ class UsageError(Exception):
     pass
 
 
+def _setting(default, help=None, choices=None):
+    """A ``RunConfig`` field: its default, and its flag's help and choices."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    data: str = ""
-    match: str = ""
-    player: int = 0            # 0 = both players
-    out: str = "out"
-    format: str = "csv"
-    segmentation: str = "set"
-    window: int = 20
+    """Every setting of a run, each declared once. A field ``name`` is the
+    flag ``--name`` (underscores as dashes) and the config-file key
+    ``name``; both read it with the field's type and accept only its
+    choices. ``drop_final`` is turned off by ``--keep-final-sample``."""
+
+    data: str = _setting("", "point-by-point CSV path")
+    match: str = _setting("", "match id filter")
+    player: int = _setting(0, "0 (both, default), 1 or 2", (0, 1, 2))
+    out: str = _setting("out", "output directory (default: out)")
+    format: str = _setting("csv", "report format (default: csv)", ("csv", "json"))
+    segmentation: str = _setting("set", choices=("set", "game"))
+    window: int = _setting(20, "momentum window (points)")
     pca_components: int = 10
     folds: int = 5
     sigma_min: float = 0.01
@@ -67,7 +77,7 @@ class RunConfig:
     threshold: float = 0.5
     run_min: int = 3
     lookback: int = 50
-    drop_final: bool = True
+    drop_final: bool = _setting(True, "keep the last point (stand-in label) in samples")
 
     def cv_config(self) -> grnn.CvConfig:
         # NaN fails the comparisons too; np.geomspace would warn first
@@ -92,13 +102,20 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:10]
 
 
-_CONFIG_TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
+_SETTINGS = {f.name: f for f in dc_fields(RunConfig)}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` configuration file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise UsageError(f"config file not found: {path}") from None
+    except OSError as exc:  # the config is not input data: a usage error
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -106,28 +123,22 @@ def parse_config_file(path: str | Path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = body.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        values[key] = _config_value(_SETTINGS[key], raw.strip())
     return values
 
 
-def _coerce(key: str, raw: str):
-    kind = _CONFIG_TYPES[key]
+def _config_value(setting, raw: str):
+    """``raw`` read as the flag of ``setting`` reads it."""
     try:
-        if kind == "bool":
-            if raw.lower() in ("1", "true", "yes"):
-                return True
-            if raw.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {raw!r}") from exc
+        value = _BOOLS[raw.lower()] if setting.type is bool else setting.type(raw)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"bad value for {setting.name}: {raw!r}") from exc
+    choices = setting.metadata.get("choices")
+    if choices and value not in choices:
+        raise UsageError(f"bad value for {setting.name}: {value!r}")
+    return value
 
 
 @contextmanager
@@ -146,7 +157,7 @@ def atomic_open(path: Path):
         raise
 
 
-def write_rows(path: Path, header: list[str], rows: list[list]) -> None:
+def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table row by row into a temporary file, then rename it."""
     with atomic_open(path) as fh:
         # csv.writer writes str(value); a float's str is its shortest round-trip text
@@ -176,15 +187,7 @@ class Outputs:
     def path(self, name: str, ext: str) -> Path:
         return self.dir / f"{name}-{self.digest}.{ext}"
 
-    @contextmanager
-    def open(self, name: str, ext: str):
-        """A text file to stream into, written as ``atomic_open`` does."""
-        path = self.path(name, ext)
-        with atomic_open(path) as fh:
-            yield fh
-        self.paths.append(path)
-
-    def csv(self, name: str, header: list[str], rows: list[list]) -> None:
+    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         path = self.path(name, "csv")
         write_rows(path, header, rows)
         self.paths.append(path)
@@ -246,8 +249,7 @@ def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     filled = table_imputation(points)
 
     out = Outputs(config)
-    with out.open("clean", "csv") as fh:
-        write_table_csv(fh, points, filled)
+    out.csv("clean", CSV_COLUMNS, table_csv_rows(points, filled))
     out.table("missing", ["column", "missing_rate"], sorted(before.rates.items()))
     header = ["column", "min", "q1", "median", "q3", "max",
               "lower_fence", "upper_fence", "outlier_count"]
@@ -444,47 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tennis-momentum", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--data", help="point-by-point CSV path")
-    parser.add_argument("--match", help="match id filter")
-    parser.add_argument("--player", type=int, choices=(0, 1, 2),
-                        help="0 (both, default), 1 or 2")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="report format (default: csv)")
-    parser.add_argument("--segmentation", choices=("set", "game"))
-    parser.add_argument("--window", type=int, help="momentum window (points)")
-    parser.add_argument("--pca-components", type=int, dest="pca_components")
-    parser.add_argument("--folds", type=int)
-    parser.add_argument("--sigma-min", type=float, dest="sigma_min")
-    parser.add_argument("--sigma-max", type=float, dest="sigma_max")
-    parser.add_argument("--sigma-count", type=int, dest="sigma_count")
-    parser.add_argument("--split-fraction", type=float, dest="split_fraction")
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--run-min", type=int, dest="run_min")
-    parser.add_argument("--lookback", type=int)
-    parser.add_argument("--keep-final-sample", action="store_true",
-                        help="keep the last point (stand-in label) in samples")
+    for setting in dc_fields(RunConfig):
+        if setting.type is bool:  # None unless given, as for every flag
+            parser.add_argument("--keep-final-sample", dest=setting.name, default=None,
+                                action="store_false", help=setting.metadata["help"])
+        else:
+            parser.add_argument("--" + setting.name.replace("_", "-"), type=setting.type,
+                                **setting.metadata)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        if not Path(args.config).exists():
-            raise UsageError(f"config file not found: {args.config}")
-        # a file value must be one its flag accepts
-        choices = {a.dest: a.choices for a in build_parser()._actions if a.choices}
-        for key, value in parse_config_file(args.config).items():
-            if key in choices and value not in choices[key]:
-                raise UsageError(f"bad value for {key}: {value!r}")
-            setattr(config, key, value)
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if args.keep_final_sample:
-        config.drop_final = False
-    return config
+    """Defaults, then the ``--config`` file's values, then the flags given."""
+    values = parse_config_file(args.config) if args.config else {}
+    for name in _SETTINGS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    return RunConfig(**values)
 
 
 def main(argv=None, timelines=None) -> int:

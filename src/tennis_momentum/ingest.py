@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -451,11 +451,14 @@ def _column(convert, rules=(), table=None, fast=None, nan_values=False):
     return parse
 
 
+# every number that loads is below 2**53, so integers are exact as floats
+_BELOW_2_53 = (lambda x: x < 2**53, "must be below 2**53")
+
+
 def _integers(allowed, rule: str, table=None):
-    """Integers below 2**53, which floats hold exactly; optional if ``table`` maps ""."""
+    """Integers below 2**53; optional if ``table`` maps ""."""
     convert = (lambda cell: int(cell) if cell else None) if table and "" in table else int
-    below = (lambda x: x < 2**53, "must be below 2**53")
-    return _column(convert, [(allowed, rule), below], table)
+    return _column(convert, [(allowed, rule), _BELOW_2_53], table)
 
 
 def _hms(cell: str) -> list[float]:
@@ -494,7 +497,7 @@ _PARSE_COLUMN = {
     "opt_one_or_two": _integers(*_ONE_OR_TWO, {"1": 1, "2": 2, "": None}),
     "opt_float": _column(lambda cell: float(cell) if cell else None,
                          [(lambda x: (x >= 0) & (x < np.inf),
-                           "must be a non-negative finite number")],
+                           "must be a non-negative finite number"), _BELOW_2_53],
                          fast=lambda cells: [float(c) if c else None for c in cells],
                          nan_values=True),
     "flag": _integers(lambda x: (x == 0) | (x == 1), "must be 0 or 1",
@@ -659,7 +662,7 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
 class PointTable:
     """Points as one value list per ``PointRecord`` field: the input of the
     cleaning steps ``table_missing_rate``, ``table_outlier_report``,
-    ``table_imputation`` and ``write_table_csv``.
+    ``table_imputation`` and ``table_csv_rows``.
 
     ``columns`` come in ``PointRecord`` field order and may hold other
     points too (a loader's lists are shared by all its timelines); ``rows``
@@ -881,51 +884,42 @@ def _nearest_donors(
     return donors[nearest]
 
 
-def write_table_csv(fh, table: PointTable, imputation: Imputation | None = None) -> None:
-    """Write the points of ``table`` to the text file ``fh`` as CSV, in the
-    canonical column order, with the cells of ``imputation`` filled.
+def table_csv_rows(table: PointTable, imputation: Imputation | None = None) -> Iterator[list]:
+    """The points of ``table`` as CSV rows of text under the header
+    ``CSV_COLUMNS``, with the cells of ``imputation`` filled.
 
-    Points are picked and filled ``_BLOCK_ROWS`` at a time, and rendered one
-    row at a time.
+    Points are picked and filled ``_BLOCK_ROWS`` at a time, and formatted
+    one row at a time.
     """
     fills = {}  # field -> (filled points, their donors), both ascending by point
     if imputation is not None:
         for field, gap in zip(imputation.fields, imputation.gaps.T):
             fills[field] = (imputation.rows[gap], imputation.donors[gap])
-
-    def rows():
-        for start in range(0, len(table), _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            columns = []
-            for _, field, _ in _COLUMN_SPEC:
-                values = table.values(field, start, stop)
-                if field in fills:
-                    points, donors = fills[field]
-                    first, last = np.searchsorted(points, (start, stop))
-                    column = table.columns[field]
-                    for point, donor in zip(points[first:last].tolist(),
-                                            donors[first:last].tolist()):
-                        values[point - start] = column[table.rows[donor]]
-                columns.append(values)
-            yield from zip(*columns)
-
-    _write_point_rows(fh, rows())
+    format_row = _row_formatter()
+    for start in range(0, len(table), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        columns = []
+        for _, field, _ in _COLUMN_SPEC:
+            values = table.values(field, start, stop)
+            if field in fills:
+                points, donors = fills[field]
+                first, last = np.searchsorted(points, (start, stop))
+                column = table.columns[field]
+                for point, donor in zip(points[first:last].tolist(),
+                                        donors[first:last].tolist()):
+                    values[point - start] = column[table.rows[donor]]
+            columns.append(values)
+        yield from map(format_row, zip(*columns))
 
 
-def _write_point_rows(fh, rows: Iterable[Sequence], ad_token: bool = False) -> None:
-    """Write a header and ``rows`` of point values in ``_COLUMN_SPEC`` order
-    as CSV, formatting one row at a time. With ``ad_token`` advantage scores
-    are written back as the raw "AD" token instead of their numeric value 55.
-    """
+def _row_formatter(ad_token: bool = False):
+    """A function giving the CSV cells of one row of point values in
+    ``_COLUMN_SPEC`` order; ``ad_token`` as for ``points_csv_text``."""
     formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
     if ad_token:
         formatters["score"] = lambda n: "AD" if n == 55 else str(n)
     formats = [formatters.get(kind, str) for _, _, kind in _COLUMN_SPEC]
-    writer = csv.writer(fh)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(
-        ["" if v is None else fmt(v) for fmt, v in zip(formats, row)] for row in rows
-    )
+    return lambda row: ["" if v is None else fmt(v) for fmt, v in zip(formats, row)]
 
 
 def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
@@ -936,7 +930,9 @@ def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> s
     that exercise the token conversion).
     """
     buf = io.StringIO()
-    _write_point_rows(buf, map(_get_csv_fields, records), ad_token)
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(_row_formatter(ad_token), map(_get_csv_fields, records)))
     return buf.getvalue()
 
 

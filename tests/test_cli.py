@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -363,12 +364,14 @@ def test_every_csv_output_goes_through_write_rows(dataset_path, tmp_path, capsys
         real(path, header, rows)
 
     monkeypatch.setattr(cli, "write_rows", counting)
-    for command in ("evaluate", "predict", "expand"):
+    for command in cli._COMMANDS:
         assert run(command, "--data", dataset_path, "--match", "2023-wimbledon-1304",
                    *SMALL_MODEL, "--out", tmp_path) == 0
     printed = capsys.readouterr().out.splitlines()
     assert calls == [p for p in printed if p.endswith(".csv")]
-    assert len(calls) == 1 + 2 + 2  # momentum; points and sweep per player
+    # clean 3, indicators 1, evaluate 1, then per player: correlate 1,
+    # turning-points 2, predict 1, expand 1; report writes JSON only
+    assert len(calls) == 3 + 1 + 1 + 2 * (1 + 2 + 1 + 1)
 
 
 def test_config_file_layering(tmp_path, tiny_csv):
@@ -408,6 +411,63 @@ def test_config_file_value_outside_the_flag_choices(tmp_path, tiny_csv, capsys, 
     assert run("clean", "--config", config, "--data", tiny_csv, "--out", out) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_every_setting_has_its_derived_flag():
+    actions = {a.dest: a for a in cli.build_parser()._actions}
+    for setting in dataclasses.fields(cli.RunConfig):
+        if setting.name != "drop_final":
+            flag = "--" + setting.name.replace("_", "-")
+            assert actions[setting.name].option_strings == [flag]
+    assert actions["drop_final"].option_strings == ["--keep-final-sample"]
+
+
+def test_config_file_gives_the_config_of_the_equivalent_flags(tmp_path):
+    settings = {
+        "data": "x.csv", "match": "m-a", "player": 2, "out": "o", "format": "json",
+        "segmentation": "game", "window": 7, "pca_components": 3, "folds": 4,
+        "sigma_min": 0.05, "sigma_max": 1.5, "sigma_count": 9, "split_fraction": 0.6,
+        "threshold": 0.4, "run_min": 2, "lookback": 30,
+    }
+    config = tmp_path / "all.conf"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items())
+                      + "drop_final = no\n")
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+    parser = cli.build_parser()
+    from_file = cli.resolve_config(parser.parse_args(["clean", "--config", str(config)]))
+    from_flags = cli.resolve_config(parser.parse_args(["clean", *flags,
+                                                       "--keep-final-sample"]))
+    assert from_file == from_flags == cli.RunConfig(**settings, drop_final=False)
+    default = cli.RunConfig()
+    assert all(getattr(from_file, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(default))
+
+
+def test_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, tiny_csv, capsys):
+    out = tmp_path / "out"
+    assert run("clean", "--config", tmp_path, "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: cannot read config file {tmp_path}: Is a directory\n")
+    missing = tmp_path / "absent.conf"
+    assert run("clean", "--config", missing, "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == f"usage error: config file not found: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["clean", "indicators", "evaluate"])
+def test_distance_from_2_to_the_53_is_a_data_error(dataset_path, tmp_path, capsys,
+                                                    command):
+    with dataset_path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [rows[0]] + [row for row in rows[1:] if row[0] == "2023-wimbledon-1304"]
+    rows[1][rows[0].index("p1_distance_run")] = "1e308"
+    src = tmp_path / "far.csv"
+    with src.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(command, "--data", src, "--match", "2023-wimbledon-1304",
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "data error: row 1: bad p1_distance_run value '1e308': must be below 2**53\n")
 
 
 def test_indicators_on_one_segment_is_a_data_error(tmp_path, capsys):

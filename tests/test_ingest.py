@@ -40,9 +40,9 @@ from tennis_momentum.ingest import (
     parse_elapsed,
     point_table,
     points_csv_text,
+    table_csv_rows,
     table_missing_rate,
     table_outlier_report,
-    write_table_csv,
 )
 
 from conftest import make_record
@@ -240,12 +240,12 @@ def test_roundtrip_is_fixed_point(tmp_path):
     loaded = load_matches(first)
     second = tmp_path / "second.csv"
     with second.open("w", encoding="utf-8", newline="") as fh:
-        write_table_csv(fh, point_table(loaded))
+        csv.writer(fh).writerows([CSV_COLUMNS, *table_csv_rows(point_table(loaded))])
     reloaded = load_matches(second)
     assert flatten_timelines(reloaded) == flatten_timelines(loaded)
     third = tmp_path / "third.csv"
     with third.open("w", encoding="utf-8", newline="") as fh:
-        write_table_csv(fh, point_table(reloaded))
+        csv.writer(fh).writerows([CSV_COLUMNS, *table_csv_rows(point_table(reloaded))])
     assert second.read_text() == third.read_text()
 
 
@@ -354,7 +354,9 @@ _TEXT = st.text(alphabet="abcXYZ09 ,\"'-", min_size=1, max_size=6).filter(
     lambda s: s == s.strip()
 )
 _FLAG = st.none() | st.sampled_from([0, 1])
-_DISTANCE = st.none() | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+# a loadable distance or speed is finite, non-negative and below 2**53
+_DISTANCE = st.none() | st.floats(min_value=0.0, max_value=2.0**53, exclude_max=True,
+                                  allow_nan=False)
 _records = st.builds(
     PointRecord,
     match_id=st.sampled_from(["m1", "m2", "2023-wimbledon-1304"]),
@@ -454,6 +456,8 @@ def _nonnegative_float(cell: str) -> float:
     x = float(cell)
     if not math.isfinite(x) or x < 0:
         raise ValueError("must be a non-negative finite number")
+    if x >= 2**53:
+        raise ValueError("must be below 2**53")
     return x
 
 
@@ -640,7 +644,8 @@ _ODD_CELLS = {
     "score": ["7", "", "ad", " AD", "55", " 15 ", "015"],
     "one_or_two": ["0", "3", "", "1.0", " 2", "+1", "01"],
     "opt_one_or_two": ["0", "3", "x", " ", "02", " 1 "],
-    "opt_float": ["-1", "nan", "inf", "-inf", "x", " ", "-0", "1e2", " 1.5", "1_0.5"],
+    "opt_float": ["-1", "nan", "inf", "-inf", "x", " ", "-0", "1e2", " 1.5", "1_0.5",
+                  "1e308", str(2**53)],
     "flag": ["2", "-1", "x", " ", " 1", "00", "+0"],
 }
 _ALL_ODD = sorted({cell for cells in _ODD_CELLS.values() for cell in cells})
@@ -683,10 +688,10 @@ def _loader_cases(draw):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=_loader_cases())
-def test_load_matches_agrees_with_row_loader(tmp_path, case):
+@given(case=_loader_cases(), field_limit=st.sampled_from([64, None]))
+def test_load_matches_agrees_with_row_loader(tmp_path, case, field_limit):
     text, match_id, block_rows = case
-    _agree(tmp_path, text, match_id, block_rows, field_limit=64)
+    _agree(tmp_path, text, match_id, block_rows, field_limit=field_limit)
 
 
 def _three_points():
@@ -1171,7 +1176,7 @@ def _column_clean(timelines):
     box = ingest.table_outlier_report(table)
     filled = ingest.table_imputation(table)
     buf = io.StringIO()
-    ingest.write_table_csv(buf, table, filled)
+    csv.writer(buf).writerows([CSV_COLUMNS, *ingest.table_csv_rows(table, filled)])
     return buf.getvalue(), before.rates, box
 
 
