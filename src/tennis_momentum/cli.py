@@ -109,11 +109,14 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` configuration file; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
     except OSError as exc:  # the config is not input data: a usage error
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: not UTF-8 text: byte "
+                         f"{exc.object[exc.start]:#04x} ({exc.reason})") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -88,14 +89,16 @@ class PointRecord:
 class MatchTimeline:
     """Ordered, non-empty sequence of points belonging to one match.
 
-    Every timeline holds its points as one value list per ``PointRecord``
-    field (``_columns``, possibly holding other points too), the picks of
-    its points from them in order (``_rows``), and their numeric ``arrays``.
-    ``MatchTimeline(match_id, records)`` builds all three from its records
-    at construction, and keeps the records. ``load_matches`` builds
-    its timelines from the parsed columns, which all of them share; their
-    ``records`` are built on first access, then cached. ``players`` holds
-    the names of the first point's players. Treat a timeline as immutable.
+    Every timeline holds its points one way: its numeric fields as one
+    read-only float matrix (``_floats``, one row per ``_NUMERIC_FIELDS``
+    field, NaN where a value is absent), its other text fields as one list
+    each (``_text``, ``_POINT_TEXT`` order), and the ``arrays`` extracted
+    from the matrix, mostly views of it. A loaded timeline's matrix is a
+    slice of its load's, and its ``records`` are built from it on first
+    access, then cached. ``MatchTimeline(match_id, records)`` builds the
+    same matrix and lists from its records, and keeps the records.
+    ``players`` holds the names of the first point's players. Treat a
+    timeline as immutable.
     """
 
     def __init__(self, match_id: str, records: Sequence[PointRecord]):
@@ -107,46 +110,44 @@ class MatchTimeline:
                 raise ValueError(
                     f"record match_id {r.match_id!r} != timeline {match_id!r}"
                 )
-        self.match_id = match_id
-        self.players = (records[0].player1, records[0].player2)
-        self._columns = _record_columns(records)
-        self._rows = np.arange(len(records))
-        matrix = [self._columns[_RECORD_FIELDS.index(f)] for f in _ARRAY_FIELDS]
-        self.arrays = MatchArrays._from_matrix(np.array(matrix, dtype=float))
+        numbers, text = _record_columns(records)
+        self._store(match_id, np.ascontiguousarray(numbers.T),
+                    tuple(text[f] for f in _POINT_TEXT))
         self.records = records
 
     @classmethod
-    def _from_columns(
-        cls, match_id: str, players: tuple[str, str], columns: list[list],
-        rows: np.ndarray, arrays: MatchArrays,
-    ) -> MatchTimeline:
-        """A loaded timeline: ``columns`` hold every parsed row's values, one
-        list per ``PointRecord`` field, and ``rows`` picks this match's
-        points from them in order."""
+    def _from_store(cls, match_id: str, floats: np.ndarray, text: tuple[list, ...]):
+        """A loaded timeline, over a slice of its load's float matrix."""
         timeline = cls.__new__(cls)
-        timeline.match_id = match_id
-        timeline.players = players
-        timeline._columns, timeline._rows = columns, rows
-        timeline.arrays = arrays
+        timeline._store(match_id, floats, text)
         return timeline
+
+    def _store(self, match_id, floats, text):
+        floats.flags.writeable = False
+        self.match_id = match_id
+        self.players = (text[0][0], text[1][0])
+        self._floats, self._text = floats, text
+        self.arrays = MatchArrays._from_store(floats)
 
     @cached_property
     def records(self) -> tuple[PointRecord, ...]:
-        """The points, built from the parsed columns on first access."""
-        rows = self._rows.tolist()
-        picked = (map(column.__getitem__, rows) for column in self._columns)
-        return tuple(map(PointRecord, *picked))
+        """The points, built from the stored values on first access."""
+        values = dict(zip(_POINT_TEXT, self._text))
+        values.update(zip(_NUMERIC_FIELDS, map(_python_values, self._floats, _INTEGER)))
+        ids = [self.match_id] * len(self)
+        return tuple(map(PointRecord, ids, *(values[f] for f in _RECORD_FIELDS[1:])))
 
     def __len__(self):
-        return len(self._rows)
+        return self._floats.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, MatchTimeline):
             return NotImplemented
-        return self.match_id == other.match_id and self.records == other.records
+        return (self.match_id == other.match_id and self._text == other._text
+                and np.array_equal(self._floats, other._floats, equal_nan=True))
 
     def __hash__(self):
-        return hash((self.match_id, self.records))
+        return hash((self.match_id, len(self)))
 
     def __repr__(self):
         return f"MatchTimeline({self.match_id!r}, {len(self)} points)"
@@ -178,15 +179,6 @@ class PlayerColumns:
     distance: np.ndarray        # NaN where absent
 
 
-# PointRecord fields behind MatchArrays, one row each of its float matrix
-_ARRAY_FIELDS = (
-    "elapsed_seconds", "point_victor", "set_no", "game_no", "server", "serve_no",
-    *(f"p{p}_{name}" for name in ("sets", "score", "points_won", "distance_run")
-      for p in (1, 2)),
-    *(f"p{p}_{flag}" for p in (1, 2) for flag in EVENT_FLAGS),
-)
-
-
 @dataclass(frozen=True)
 class MatchArrays:
     """Numeric columns of a point sequence, extracted once.
@@ -214,26 +206,30 @@ class MatchArrays:
     distance: np.ndarray     # (2, n)
 
     @classmethod
-    def _from_matrix(cls, matrix: np.ndarray) -> MatchArrays:
-        """From a float matrix of ``_ARRAY_FIELDS`` rows, None as NaN; the
-        arrays are views of it where they can be, so it must not be shared."""
-        elapsed, victor, set_no, game_no, server, serve_no = matrix[:6]
-        events = matrix[14:].reshape(2, len(EVENT_FLAGS), -1)
+    def _from_store(cls, floats: np.ndarray) -> MatchArrays:
+        """From a timeline's read-only float matrix, one row per
+        ``_NUMERIC_FIELDS`` field, NaN where absent. Most arrays are views of
+        its rows; a player pair's rows are adjacent in the schema."""
+        row = dict(zip(_NUMERIC_FIELDS, floats))
+        pair = {name: floats[_NUMERIC_FIELDS.index(f"p1_{name}"):][:2]
+                for name in ("sets", "score", "points_won", "distance_run")}
+        elapsed, server, serve_no = row["elapsed_seconds"], row["server"], row["serve_no"]
+        events = np.stack([row[f"p{p}_{flag}"] for p in (1, 2) for flag in EVENT_FLAGS])
         np.nan_to_num(events, copy=False, nan=0.0)
         arrays = cls(
             elapsed=elapsed,
-            victor=victor,
+            victor=row["point_victor"],
             durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
-            set_no=set_no.astype(int),
-            game_no=game_no.astype(int),
+            set_no=row["set_no"].astype(int),
+            game_no=row["game_no"].astype(int),
             server=server,
             serve_no=serve_no,
             serve_known=~(np.isnan(server) | np.isnan(serve_no)),
-            sets=matrix[6:8],
-            score=matrix[8:10],
-            points_won=matrix[10:12],
-            distance=matrix[12:14],
-            events=events,
+            sets=pair["sets"],
+            score=pair["score"],
+            points_won=pair["points_won"],
+            distance=pair["distance_run"],
+            events=events.reshape(2, len(EVENT_FLAGS), -1),
         )
         for array in vars(arrays).values():
             array.flags.writeable = False
@@ -341,17 +337,36 @@ REQUIRED_COLUMNS = tuple(
 OPTIONAL_COLUMNS = tuple(c for c, _, k in _COLUMN_SPEC if k in _OPTIONAL_KINDS)
 
 _TEXT_FIELDS = frozenset(f for _, f, k in _COLUMN_SPEC if k in _TEXT_KINDS)
-# Numeric fields usable in the imputation distance, in schema order.
+# The text fields a timeline keeps one list of: all but the match id.
+_POINT_TEXT = tuple(f for _, f, k in _COLUMN_SPEC if k in _TEXT_KINDS)[1:]
+# The fields held as floats, in schema order; the imputation distance uses them.
 _NUMERIC_FIELDS = [f for _, f, _ in _COLUMN_SPEC if f not in _TEXT_FIELDS]
+_INTEGER = [k != "opt_float" for _, f, k in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
 # PointRecord's fields in constructor order, read all at once
 _RECORD_FIELDS = [f.name for f in fields(PointRecord)]
 _record_values = attrgetter(*_RECORD_FIELDS)
+_numeric_values = attrgetter(*_NUMERIC_FIELDS)
+_text_values = attrgetter("match_id", *_POINT_TEXT)
 
 
-def _record_columns(records: Sequence[PointRecord]) -> list[list]:
-    """The values of ``records``, one list per ``PointRecord`` field."""
-    return [list(values) for values in zip(*map(_record_values, records))]
+def _record_columns(records: Sequence[PointRecord]) -> tuple[np.ndarray, dict[str, list]]:
+    """The ``_NUMERIC_FIELDS`` of ``records`` as a (points, fields) float
+    matrix, None as NaN, and each of their text fields as a list."""
+    numbers = np.array(list(map(_numeric_values, records)), dtype=float)
+    text = zip(*map(_text_values, records))
+    return (numbers.reshape(-1, len(_NUMERIC_FIELDS)),
+            dict(zip(("match_id", *_POINT_TEXT), map(list, text))))
+
+
+def _python_values(floats: np.ndarray, integer: bool) -> list:
+    """A float column as Python values, ``int`` if ``integer`` else
+    ``float``, and None where it is NaN."""
+    absent = np.isnan(floats)
+    values = (np.where(absent, 0.0, floats).astype(np.int64) if integer
+              else floats).astype(object)
+    values[absent] = None
+    return values.tolist()
 
 
 # Continuous measurement columns summarised by the default box-plot audit.
@@ -506,25 +521,24 @@ _PARSE_COLUMN = {
 
 # Rows read and parsed together: bounds the raw cells held at once.
 _BLOCK_ROWS = 1024
-# Fields kept as floats while loading: the arrays', then the point number.
-_FLOAT_FIELDS = (*_ARRAY_FIELDS, "point_no")
 
 
 class _ParsedColumns:
     """The parsed cells of a file's kept rows, gathered block by block.
 
-    ``plan`` lists (field, cell index, kind) in schema order. Values are kept
-    per field in file order, as Python objects for the records (equal text
-    shares one string) and as floats for the numeric fields.
+    ``plan`` lists (field, cell index, kind) in schema order. The numeric
+    fields are kept as floats, one (``_NUMERIC_FIELDS``, rows) matrix per
+    block; the text fields as lists (equal text shares one string), all in
+    file order.
     """
 
     def __init__(self, plan, width: int):
         self.plan = plan
         self.width = width
         self.numbers: list[int] = []  # file row number of each kept row
-        self.values = {field: [] for field, _, _ in plan}
-        self.floats: list[np.ndarray] = []  # per block, the _FLOAT_FIELDS rows
-        self.text = {"": None}  # one string per distinct text; absent reads None
+        self.text = {field: [] for field in ("match_id", *_POINT_TEXT)}
+        self.floats: list[np.ndarray] = []
+        self.strings = {"": None}  # one string per distinct text; absent reads None
 
     def add(self, block: list[list[str]], numbers: list[int]) -> None:
         """Parse the next kept rows of the file, with their row numbers."""
@@ -540,48 +554,45 @@ class _ParsedColumns:
             field, index, _ = self.plan[j]
             cell = block[position][index].strip()
             raise RowParseError(numbers[position], f"bad {field} value {cell!r}: {message}")
-        numeric = {}
+        columns = {}
         for (field, _, kind), (values, floats, _) in zip(self.plan, parsed):
-            if kind in _TEXT_KINDS:
-                values = list(map(self.text.setdefault, values, values))
-            numeric[field] = floats
-            self.values[field].extend(values)
-        nan = np.full(len(block), np.nan)  # an optional column missing from the header
-        self.floats.append(np.stack([numeric.get(f, nan) for f in _FLOAT_FIELDS]))
+            text = kind in _TEXT_KINDS
+            columns[field] = list(map(self.strings.setdefault, values, values)) if text else floats
+        # an optional column missing from the header
+        absent, nan = [None] * len(block), np.full(len(block), np.nan)
+        for field, values in self.text.items():
+            values.extend(columns.get(field, absent))
+        self.floats.append(np.stack([columns.get(f, nan) for f in _NUMERIC_FIELDS]))
         self.numbers.extend(numbers)
 
     def timelines(self) -> list[MatchTimeline]:
         """One timeline per match id, sorted by id; points by (set, game, point)."""
-        ids = self.values["match_id"]
-        n = len(ids)
+        ids = self.text.pop("match_id")
         numbers = np.array(self.numbers)
-        matrix = np.concatenate(self.floats, axis=1)
-        self.floats.clear()  # before the per-match copies: lowers the peak
+        floats = np.concatenate(self.floats, axis=1)
+        self.floats.clear()  # before the sorted copy: lowers the peak
         names = sorted(set(ids))
         code = dict(zip(names, range(len(names))))
-        codes = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=n)
+        codes = np.fromiter(map(code.__getitem__, ids), dtype=np.intp, count=len(ids))
+        key_fields = [_NUMERIC_FIELDS.index(f) for f in ("set_no", "game_no", "point_no")]
         # stable: of two rows with one key, the later row comes second
-        keys = (matrix[-1], matrix[_ARRAY_FIELDS.index("game_no")],
-                matrix[_ARRAY_FIELDS.index("set_no")], codes)
+        keys = (*floats[key_fields[::-1]], codes)
         order = np.lexsort(keys)
         in_order = np.stack(keys)[:, order]
         repeats = np.flatnonzero((in_order[:, 1:] == in_order[:, :-1]).all(axis=0))
         if repeats.size:
             a, b = order[repeats[0]], order[repeats[0] + 1]
-            key_b = tuple(self.values[f][b] for f in ("set_no", "game_no", "point_no"))
+            key_b = tuple(int(x) for x in floats[key_fields, b])
             raise RowParseError(int(numbers[b]), f"match {ids[b]}: duplicate point key {key_b}"
                                 f" (rows {numbers[a]} and {numbers[b]})")
 
-        absent = [None] * n  # an optional column missing from the header
-        columns = [self.values.get(field, absent) for field in _RECORD_FIELDS]
-        player1, player2 = self.values["player1"], self.values["player2"]
-        starts = np.flatnonzero(np.diff(codes[order])) + 1
+        floats = np.take(floats, order, axis=1)  # C order: each field's points adjacent
+        picks = order.tolist()
+        text = [list(map(values.__getitem__, picks)) for values in self.text.values()]
+        bounds = [0, *(np.flatnonzero(np.diff(codes[order])) + 1).tolist(), len(ids)]
         return [
-            MatchTimeline._from_columns(
-                name, (player1[rows[0]], player2[rows[0]]), columns, rows,
-                MatchArrays._from_matrix(matrix[:-1, rows]),
-            )
-            for name, rows in zip(names, np.split(order, starts))
+            MatchTimeline._from_store(name, floats[:, a:b], tuple(t[a:b] for t in text))
+            for name, a, b in zip(names, bounds, bounds[1:])
         ]
 
 
@@ -590,8 +601,9 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
 
     Records are sorted by (set_no, game_no, point_no); duplicate keys within
     a match are rejected. Timelines come back sorted by match id. The file
-    is parsed column by column, in blocks of rows; each timeline's
-    ``arrays`` are built from the columns, its ``records`` on first access.
+    is parsed column by column, in blocks of rows, into one float matrix of
+    the numeric fields; each timeline holds a slice of it, and builds its
+    ``records`` from the slice on first access.
 
     Errors name the first bad row in file order, and in that row the first
     bad field in schema order. A bad cell wins over malformed CSV on a later
@@ -660,65 +672,44 @@ def load_matches(path: str | Path, match_id: str | None = None) -> list[MatchTim
 
 
 class PointTable:
-    """Points as one value list per ``PointRecord`` field: the input of the
-    cleaning steps ``table_missing_rate``, ``table_outlier_report``,
-    ``table_imputation`` and ``table_csv_rows``.
-
-    ``columns`` come in ``PointRecord`` field order and may hold other
-    points too (a loader's lists are shared by all its timelines); ``rows``
-    picks this table's points from them, in order. The lists are only read.
+    """Points as one (points, ``_NUMERIC_FIELDS``) float matrix ``numbers``,
+    NaN where a value is absent, and one list per text field in ``text``:
+    the input of the cleaning steps ``table_missing_rate``,
+    ``table_outlier_report``, ``table_imputation`` and ``table_csv_rows``,
+    which only read them.
     """
 
-    def __init__(self, columns: Sequence[Sequence], rows: np.ndarray):
-        self.columns = dict(zip(_RECORD_FIELDS, columns))
-        self.rows = rows.tolist()
+    def __init__(self, numbers: np.ndarray, text: dict[str, list]):
+        self.numbers = numbers
+        self.text = text
 
     def __len__(self):
-        return len(self.rows)
-
-    def values(self, field: str, start: int = 0, stop: int | None = None) -> list:
-        """``field`` of the points ``start:stop``, as a new list."""
-        return list(map(self.columns[field].__getitem__, self.rows[start:stop]))
-
-    @cached_property
-    def numeric(self) -> np.ndarray:
-        """The ``_NUMERIC_FIELDS`` of every point as a (points, fields)
-        float matrix, None as NaN."""
-        matrix = np.empty((len(self), len(_NUMERIC_FIELDS)))
-        for j, field in enumerate(_NUMERIC_FIELDS):
-            matrix[:, j] = self.values(field)
-        return matrix
+        return len(self.numbers)
 
     def absent(self, field: str) -> np.ndarray:
         """Where ``field`` is None, as a bool array."""
         if field in _TEXT_FIELDS:
-            return np.array([v is None for v in self.values(field)], dtype=bool)
+            return np.array([v is None for v in self.text[field]], dtype=bool)
         return np.isnan(self.floats(field))
 
     def floats(self, field: str) -> np.ndarray:
         """``field`` of every point as floats, None as NaN; text reads as 0."""
         if field in _TEXT_FIELDS:
             return np.where(self.absent(field), np.nan, 0.0)
-        return self.numeric[:, _NUMERIC_FIELDS.index(field)]
+        return self.numbers[:, _NUMERIC_FIELDS.index(field)]
 
 
 def point_table(timelines: Sequence[MatchTimeline]) -> PointTable:
-    """The points of ``timelines``, in order, as one ``PointTable``.
-
-    Timelines that share their value lists (those of one ``load_matches``
-    call) are read in place: the table only picks their rows. Any other mix
-    is copied, each timeline's points picked from its own lists into new
-    ones. No record is built either way.
-    """
-    if timelines and all(tl._columns is timelines[0]._columns for tl in timelines):
-        return PointTable(timelines[0]._columns,
-                          np.concatenate([tl._rows for tl in timelines]))
-    columns = [[] for _ in _RECORD_FIELDS]
-    for tl in timelines:
-        rows = tl._rows.tolist()
-        for column, values in zip(columns, tl._columns):
-            column.extend(map(values.__getitem__, rows))
-    return PointTable(columns, np.arange(len(columns[0])))
+    """The points of ``timelines``, in order, as one ``PointTable``: a copy
+    of their stored values. No record is built."""
+    numbers = np.empty((sum(map(len, timelines)), len(_NUMERIC_FIELDS)))
+    if timelines:  # into a C-order matrix, as the imputation reads it
+        np.concatenate([tl._floats.T for tl in timelines], out=numbers)
+    text = {"match_id": list(chain.from_iterable(repeat(tl.match_id, len(tl))
+                                                 for tl in timelines))}
+    for j, field in enumerate(_POINT_TEXT):
+        text[field] = list(chain.from_iterable(tl._text[j] for tl in timelines))
+    return PointTable(numbers, text)
 
 
 def table_missing_rate(table: PointTable) -> MissingReport:
@@ -799,7 +790,7 @@ def table_imputation(table: PointTable) -> Imputation:
     if not len(table):
         raise EmptyInputError("impute_missing needs at least one record")
 
-    matrix = table.numeric
+    matrix = table.numbers
     absent = {f: table.absent(f) for f in _OPTIONAL_FIELDS}
     fillable = [f for f in _OPTIONAL_FIELDS if not absent[f].all()]
     dead_columns = [f for f in _OPTIONAL_FIELDS if f not in fillable]
@@ -888,28 +879,28 @@ def table_csv_rows(table: PointTable, imputation: Imputation | None = None) -> I
     """The points of ``table`` as CSV rows of text under the header
     ``CSV_COLUMNS``, with the cells of ``imputation`` filled.
 
-    Points are picked and filled ``_BLOCK_ROWS`` at a time, and formatted
+    The filled cells are set in a copy of the table's values, one field at a
+    time; the points are then read ``_BLOCK_ROWS`` at a time, and formatted
     one row at a time.
     """
-    fills = {}  # field -> (filled points, their donors), both ascending by point
+    numbers, text = table.numbers, dict(table.text)
     if imputation is not None:
+        numbers = numbers.copy()
         for field, gap in zip(imputation.fields, imputation.gaps.T):
-            fills[field] = (imputation.rows[gap], imputation.donors[gap])
+            points, donors = imputation.rows[gap], imputation.donors[gap]
+            if field in text:
+                column = text[field] = np.array(text[field], dtype=object)
+                column[points] = column[donors]
+            else:
+                j = _NUMERIC_FIELDS.index(field)
+                numbers[points, j] = numbers[donors, j]
     format_row = _row_formatter()
     for start in range(0, len(table), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        columns = []
-        for _, field, _ in _COLUMN_SPEC:
-            values = table.values(field, start, stop)
-            if field in fills:
-                points, donors = fills[field]
-                first, last = np.searchsorted(points, (start, stop))
-                column = table.columns[field]
-                for point, donor in zip(points[first:last].tolist(),
-                                        donors[first:last].tolist()):
-                    values[point - start] = column[table.rows[donor]]
-            columns.append(values)
-        yield from map(format_row, zip(*columns))
+        block = numbers[start:start + _BLOCK_ROWS].T
+        columns = dict(zip(_NUMERIC_FIELDS, map(_python_values, block, _INTEGER)))
+        for field, values in text.items():
+            columns[field] = values[start:start + _BLOCK_ROWS]
+        yield from map(format_row, zip(*(columns[f] for _, f, _ in _COLUMN_SPEC)))
 
 
 def _row_formatter(ad_token: bool = False):
@@ -946,16 +937,16 @@ def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
     Columns that are absent in every record cannot be filled and are left
     as-is. Records without gaps are returned as they are.
     """
-    columns = _record_columns(records)
-    filled = table_imputation(PointTable(columns, np.arange(len(records))))
+    filled = table_imputation(PointTable(*_record_columns(records)))
     # one constructor call per row, not dataclasses.replace's field walk
     slots = [_RECORD_FIELDS.index(f) for f in filled.fields]
     out = list(records)
     for i, d, gaps in zip(filled.rows.tolist(), filled.donors.tolist(),
                           filled.gaps.tolist()):
         values = list(_record_values(records[i]))
+        donor = _record_values(records[d])
         for slot, gap in zip(slots, gaps):
             if gap:
-                values[slot] = columns[slot][d]
+                values[slot] = donor[slot]
         out[i] = PointRecord(*values)
     return out

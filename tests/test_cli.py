@@ -451,6 +451,12 @@ def test_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, tiny_csv, ca
     missing = tmp_path / "absent.conf"
     assert run("clean", "--config", missing, "--data", tiny_csv, "--out", out) == 1
     assert capsys.readouterr().err == f"usage error: config file not found: {missing}\n"
+    latin = tmp_path / "latin.conf"
+    latin.write_bytes("player = 1 # \u00e9\n".encode("latin-1"))
+    assert run("clean", "--config", latin, "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: cannot read config file {latin}: not UTF-8 text: byte 0xe9 "
+        "(invalid continuation byte)\n")
     assert not out.exists()
 
 
@@ -507,21 +513,26 @@ def test_column_commands_build_no_records(dataset_path, tmp_path, monkeypatch, c
     assert builds == []
 
 
-def test_clean_leaves_the_loaded_columns_as_they_were(dataset_path, tmp_path):
+def test_clean_leaves_the_loaded_columns_as_they_were(dataset_path, tmp_path, monkeypatch):
     from tennis_momentum.ingest import load_matches
 
+    def stored(timelines):
+        return [(tl._floats.tobytes(), [list(t) for t in tl._text]) for tl in timelines]
+
     timelines = load_matches(dataset_path)
-    columns = timelines[0]._columns
-    before = [list(column) for column in columns]
+    before = stored(timelines)
+    builds = _counted_record_builds(monkeypatch)
     assert main(["clean", "--data", str(dataset_path), "--out", str(tmp_path)],
                 timelines) == 0
-    assert all(tl._columns is columns for tl in timelines)
-    assert [list(column) for column in columns] == before
+    assert stored(timelines) == before
     # the cleaned file filled gaps that the loaded points still have
-    assert None in columns[-1]
+    assert any(None in tl._text[-1] for tl in timelines)
     assert main(["report", "--data", str(dataset_path), "--out", str(tmp_path),
                  "--match", "2023-wimbledon-1304"], timelines) == 0
+    # equality and hashing read the stored values, not records
     assert timelines == load_matches(dataset_path)
+    assert len(set(timelines + load_matches(dataset_path))) == len(timelines)
+    assert builds == []
 
 
 def test_evaluate_does_not_import_numpy_ma(dataset_path, tmp_path):

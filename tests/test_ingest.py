@@ -671,7 +671,12 @@ def _loader_cases(draw):
             row.insert(at, draw(st.sampled_from(_ODD_CELLS[_KIND[column]])))
     if draw(st.booleans()):
         rows = [rows[0] + ["unknown"]] + [row + ["1"] for row in rows[1:]]
-    cells = st.tuples(st.integers(1, len(rows) - 1), st.integers(0, len(rows[0]) - 1))
+    # a kind first, then one of its columns: each kind's read column is often hit
+    by_kind = {}
+    for c, column in enumerate(rows[0]):
+        by_kind.setdefault(_KIND.get(column), []).append(c)
+    cells = st.sampled_from(sorted(by_kind, key=str)).flatmap(lambda kind: st.tuples(
+        st.integers(1, len(rows) - 1), st.sampled_from(by_kind[kind])))
     for r, c in draw(st.lists(cells, max_size=3)):
         rows[r][c] = draw(st.sampled_from(_ODD_CELLS.get(_KIND.get(rows[0][c]), _ALL_ODD)))
     for r in draw(st.lists(st.integers(1, len(rows) - 1), max_size=2)):
@@ -1207,9 +1212,12 @@ def _assert_clean_matches_reference(path):
 def test_point_table_over_separate_loads_cleans_like_one_load(dataset_path):
     ids = [tl.match_id for tl in load_matches(dataset_path)]
     separate = [load_matches(dataset_path, match_id)[0] for match_id in ids]
-    # each load has its own value lists, so the table copies the points
-    assert separate[0]._columns is not separate[1]._columns
-    expected = _clean_outcome(_column_clean, load_matches(dataset_path))
+    # each load has its own float matrix; the table copies the points of all
+    assert not np.shares_memory(separate[0]._floats, separate[1]._floats)
+    one = load_matches(dataset_path)
+    assert point_table(separate).numbers.tobytes() == point_table(one).numbers.tobytes()
+    assert point_table(separate).text == point_table(one).text
+    expected = _clean_outcome(_column_clean, one)
     assert "ImputationError" not in expected[1]
     assert _clean_outcome(_column_clean, separate) == expected
 
@@ -1220,13 +1228,27 @@ def test_record_built_timeline_holds_what_a_loaded_one_holds(dataset_path):
         assert built.records is loaded.records
         assert (built.match_id, built.players, len(built)) == (
             loaded.match_id, loaded.players, len(loaded))
-        rows = loaded._rows.tolist()
-        assert built._columns == [list(map(c.__getitem__, rows)) for c in loaded._columns]
-        assert built._rows.tolist() == list(range(len(loaded)))
+        a, b = built._floats, loaded._floats
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+        assert built._text == loaded._text
         for field in fields(MatchArrays):
             a, b = getattr(built.arrays, field.name), getattr(loaded.arrays, field.name)
             assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
             assert a.tobytes() == b.tobytes()
+
+
+def test_timeline_equality_compares_the_stored_values():
+    records = [make_record(point_no=1, speed_mph=None), make_record(point_no=2)]
+    timeline = MatchTimeline("m1", records)
+    same = MatchTimeline("m1", [replace(r) for r in records])
+    assert timeline == same and hash(timeline) == hash(same)
+    for changed in (replace(records[1], serve_width=None), replace(records[1], p2_ace=1),
+                    replace(records[1], speed_mph=115.5), replace(records[1], player2="C")):
+        assert timeline != MatchTimeline("m1", [records[0], changed])
+    assert timeline != MatchTimeline("m1", records[:1])
+    other = [replace(r, match_id="m2") for r in records]
+    assert timeline != MatchTimeline("m2", other)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 1024])
