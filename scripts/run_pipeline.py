@@ -13,6 +13,7 @@ Usage: python scripts/run_pipeline.py [--data data/sample_points.csv]
 """
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -71,3 +72,5 @@ def main(argv=None):
 
 if __name__ == "__main__":
     main()
+    # the process ends next: skip collecting the objects made at import time
+    gc.freeze()

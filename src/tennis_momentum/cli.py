@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -24,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grnn, momentum
+# each command imports the other layers it runs when it runs, so a cold
+# ``clean`` loads only these two
 from .errors import DataError, UnknownMatchError
-from .fuzzy import momentum_series
-from .indicators import INDICATOR_NAMES, indicator_table, pca_reduce
 from .ingest import (
     CSV_COLUMNS,
     MatchTimeline,
@@ -79,7 +79,9 @@ class RunConfig:
     lookback: int = 50
     drop_final: bool = _setting(True, "keep the last point (stand-in label) in samples")
 
-    def cv_config(self) -> grnn.CvConfig:
+    def cv_config(self) -> "grnn.CvConfig":
+        from . import grnn
+
         # NaN fails the comparisons too; np.geomspace would warn first
         if not (0 < self.sigma_min < np.inf and 0 < self.sigma_max < np.inf):
             raise UsageError("sigma_min and sigma_max must be positive and finite")
@@ -144,16 +146,28 @@ def _config_value(setting, raw: str):
     return value
 
 
+def _unwritable(path: Path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror}")
+
+
 @contextmanager
 def atomic_open(path: Path):
     """A text file in ``path``'s directory that replaces ``path`` when the
-    block ends; on an error it is removed and ``path`` stays as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    block ends; on an error it is removed and ``path`` stays as it was.
+    A directory, temporary file or rename that the system refuses is a
+    usage error: the output place is at fault, not the input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # a directory in the file's place, say
+            raise _unwritable(path, exc) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -237,6 +251,8 @@ def _players(config: RunConfig) -> list[int]:
 
 def _player_samples(tl: MatchTimeline, config: RunConfig):
     """(player, momentum samples) for each player of the run."""
+    from . import momentum
+
     for player in _players(config):
         yield player, momentum.extract_momentum_samples(
             tl, player, drop_final=config.drop_final
@@ -265,6 +281,8 @@ def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 
 
 def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from .indicators import INDICATOR_NAMES, indicator_table, pca_reduce
+
     if config.match:
         timelines = [_select_match(timelines, config)]
     meta, matrix = indicator_table(timelines, _players(config), config.segmentation)
@@ -285,6 +303,8 @@ def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pa
 
 
 def cmd_evaluate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from .fuzzy import momentum_series
+
     tl = _select_match(timelines, config)
     rows = []
     for player in _players(config):
@@ -297,6 +317,8 @@ def cmd_evaluate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path
 
 
 def cmd_correlate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from . import momentum
+
     tl = _select_match(timelines, config)
     out = Outputs(config)
     for player, samples in _player_samples(tl, config):
@@ -310,6 +332,8 @@ def cmd_correlate(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pat
 
 
 def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from . import momentum
+
     tl = _select_match(timelines, config)
     out = Outputs(config)
     for player, samples in _player_samples(tl, config):
@@ -340,6 +364,8 @@ def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> lis
 
 
 def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from . import grnn, momentum
+
     tl = _select_match(timelines, config)
     out = Outputs(config)
     cv = config.cv_config()
@@ -366,6 +392,8 @@ def cmd_predict(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]
 
 
 def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    from . import grnn, momentum
+
     tl = _select_match(timelines, config)
     out = Outputs(config)
     cv = config.cv_config()
@@ -402,6 +430,8 @@ def cmd_expand(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 
 def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     """One JSON per match: missing data, correlations, prediction quality."""
+    from . import grnn, momentum
+
     tl = _select_match(timelines, config)
     rates = table_missing_rate(point_table([tl])).rates
     cv = config.cv_config()
@@ -500,7 +530,10 @@ def main(argv=None, timelines=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    # the process ends next: skip collecting the objects made at import time
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

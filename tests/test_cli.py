@@ -460,6 +460,27 @@ def test_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, tiny_csv, ca
     assert not out.exists()
 
 
+def test_unwritable_out_is_a_usage_error(tiny_csv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert run("clean", "--data", tiny_csv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {out / 'all'}/clean-")
+    assert err.endswith(": Not a directory\n")
+    assert not list(tmp_path.rglob(".tmp-*"))
+    # a directory where the cleaned file goes
+    out = tmp_path / "out"
+    target = cli.Outputs(cli.RunConfig(data=str(tiny_csv), out=str(out))).path("clean", "csv")
+    target.mkdir(parents=True)
+    assert run("clean", "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {target}: Is a directory\n"
+    assert target.is_dir() and not list(tmp_path.rglob(".tmp-*"))
+    # the input side still reports an OSError as a data error
+    assert run("clean", "--data", tmp_path, "--out", tmp_path / "ok") == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 @pytest.mark.parametrize("command", ["clean", "indicators", "evaluate"])
 def test_distance_from_2_to_the_53_is_a_data_error(dataset_path, tmp_path, capsys,
                                                     command):
@@ -552,3 +573,66 @@ def test_evaluate_does_not_import_numpy_ma(dataset_path, tmp_path):
     assert not loads_numpy_ma(
         f"from tennis_momentum import cli\nassert cli.main({argv!r}) == 0"
     )
+
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+LAYERS = {"errors", "ingest", "indicators", "fuzzy", "momentum", "grnn"}
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ((), set()),
+    (("clean",), {"errors", "ingest"}),
+    (("indicators",), {"errors", "ingest", "indicators"}),
+    (("evaluate",), {"errors", "ingest", "indicators", "fuzzy"}),
+    (("predict", "expand"), {"errors", "ingest", "momentum", "grnn"}),
+], ids=["import", "clean", "indicators", "evaluate", "predict-expand"])
+def test_each_subcommand_loads_only_its_layers(dataset_path, tmp_path, commands, loaded):
+    # a cold command pays for compiling and running every module it imports
+    probe = "import tennis_momentum\n"
+    if commands:
+        probe += "from tennis_momentum import cli\n"
+    for command in commands:
+        argv = [command, "--data", str(dataset_path), "--match", "2023-wimbledon-1304",
+                "--player", "1", "--sigma-count", "4", "--out", str(tmp_path)]
+        probe += f"assert cli.main({argv!r}) == 0\n"
+    probe += "import sys\nprint(*sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, check=True,
+                            capture_output=True, text=True)
+    modules = {m.split(".", 1)[1] for m in result.stdout.split()
+               if m.startswith("tennis_momentum.")}
+    assert modules & LAYERS == loaded
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["clean", "evaluate", "predict"])
+def test_module_entry_point_does_what_main_does(dataset_path, tmp_path, capsys, command):
+    # python -m tennis_momentum runs cli.entry, which freezes the collector
+    # before the process exits; the files and printed paths must not change
+    scoped = [] if command == "clean" else ["--match", "2023-wimbledon-1304",
+                                            "--player", "1"]
+    inproc, cold = tmp_path / "inproc", tmp_path / "cold"
+    code = main([command, "--data", str(dataset_path), *scoped, "--out", str(inproc)])
+    printed = capsys.readouterr().out.replace(str(inproc), str(cold))
+    done = subprocess.run(
+        [sys.executable, "-m", "tennis_momentum", command, "--data", str(dataset_path),
+         *scoped, "--out", str(cold)],
+        env=SRC_ENV, cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (code, printed)
+    assert code == 0 and printed
+    assert _files(cold) == _files(inproc)
+
+
+def test_module_entry_point_reports_a_data_error(dataset_path, tmp_path, capsys):
+    argv = ["evaluate", "--data", str(dataset_path), "--match", "no-such-match",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    expected = capsys.readouterr().err
+    done = subprocess.run([sys.executable, "-m", "tennis_momentum", *argv],
+                          env=SRC_ENV, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr == expected
+    assert done.stderr.startswith("data error: ")
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,7 @@
+import importlib
 import types
+
+import pytest
 
 import tennis_momentum
 
@@ -30,9 +33,20 @@ PUBLIC_NAMES = {
 
 
 def test_package_root_public_names_are_pinned():
-    public = {
-        name for name, value in vars(tennis_momentum).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
+    # the root resolves its names on first use, so its vars() fill as they
+    # are read: check the declared names, the listed names and each value
     assert len(PUBLIC_NAMES) == 50
-    assert public == PUBLIC_NAMES
+    assert set(tennis_momentum.__all__) == PUBLIC_NAMES
+    listed = {
+        name for name in dir(tennis_momentum)
+        if not name.startswith("_")
+        and not isinstance(getattr(tennis_momentum, name), types.ModuleType)
+    }
+    assert listed == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(tennis_momentum, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("tennis_momentum.")
+        assert getattr(home, name) is value
+    with pytest.raises(AttributeError):
+        tennis_momentum.no_such_name

@@ -89,6 +89,19 @@ def _run_script(*args, cwd):
     )
 
 
+def test_script_process_writes_and_prints_what_main_does(pipeline, dataset_path, tmp_path,
+                                                        capsys):
+    # run as a script, it freezes the collector before the process exits
+    inproc, cold = tmp_path / "inproc", tmp_path / "cold"
+    args = ["--data", dataset_path, "--match", "2023-wimbledon-1304"]
+    pipeline.main([*map(str, args), "--out", str(inproc)])
+    printed = capsys.readouterr().out.replace(str(inproc), str(cold))
+    done = _run_script(*args, "--out", cold, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (0, printed)
+    assert _files(cold) == _files(inproc)
+    assert len(_files(cold)) == 13
+
+
 def test_pipeline_missing_file_is_data_error(tmp_path):
     done = _run_script("--data", tmp_path / "absent.csv", "--out", tmp_path / "out",
                        cwd=tmp_path)
