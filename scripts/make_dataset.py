@@ -25,7 +25,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from tennis_momentum.ingest import PointRecord, points_csv_text  # noqa: E402
+from tennis_momentum.records import PointRecord, points_csv_text  # noqa: E402
 
 MISSING_RATES = {
     "speed_mph": 0.1032,

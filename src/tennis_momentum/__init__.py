@@ -17,9 +17,10 @@ _SOURCES = {
             "UndefinedCorrelationError", "UnknownMatchError",
         ),
         "ingest": (
-            "BoxplotReport", "MatchTimeline", "MissingReport", "PointRecord",
-            "impute_missing", "load_matches", "parse_score_token",
+            "BoxplotReport", "MatchTimeline", "MissingReport", "load_matches",
+            "parse_score_token",
         ),
+        "records": ("PointRecord", "impute_missing"),
         "indicators": (
             "IndicatorVector", "PcaResult", "compute_indicators", "normalize_minmax",
             "pca_reduce", "positivize",

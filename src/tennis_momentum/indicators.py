@@ -210,8 +210,9 @@ def _segments(
     """Segment keys, one row per segment, and each segment's (start, end) bounds.
 
     A segment is a run of points sharing a set (and game) number. Loaded
-    timelines are sorted by key; a timeline built otherwise must list each
-    key in one run and in increasing order, or ValueError names the match.
+    timelines are sorted by key; one from ``records.timeline`` keeps its
+    records' order, so it must list each key in one run and in increasing
+    order, or ValueError names the match.
     """
     if segmentation not in ("set", "game"):
         raise ValueError(f"segmentation must be 'set' or 'game', got {segmentation!r}")

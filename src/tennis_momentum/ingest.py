@@ -9,15 +9,13 @@ the column names listed in ``CSV_COLUMNS``. Unknown columns are ignored
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,56 +34,6 @@ from .errors import (
 SCORE_POINTS = {"0": 0, "15": 15, "30": 30, "40": 40, "AD": 55, "55": 55}
 
 
-@dataclass(frozen=True, slots=True)
-class PointRecord:
-    """One scored point of a match.
-
-    Integer scores use the tennis point scale (0/15/30/40, advantage = 55).
-    ``p1_sets``/``p1_games`` and the score columns describe the scoreboard
-    when the point starts; ``p*_points_won`` are cumulative counts that
-    include the point itself. Optional fields are ``None`` when absent.
-    """
-
-    match_id: str
-    player1: str
-    player2: str
-    elapsed_seconds: int
-    set_no: int
-    game_no: int
-    point_no: int
-    p1_sets: int
-    p2_sets: int
-    p1_games: int
-    p2_games: int
-    p1_score: int
-    p2_score: int
-    point_victor: int
-    p1_points_won: int
-    p2_points_won: int
-    server: int | None = None
-    serve_no: int | None = None
-    p1_ace: int | None = None
-    p2_ace: int | None = None
-    p1_untouchable_winner: int | None = None
-    p2_untouchable_winner: int | None = None
-    p1_double_fault: int | None = None
-    p2_double_fault: int | None = None
-    p1_unforced_error: int | None = None
-    p2_unforced_error: int | None = None
-    p1_net_approach: int | None = None
-    p2_net_approach: int | None = None
-    p1_net_point_won: int | None = None
-    p2_net_point_won: int | None = None
-    p1_break_point_missed: int | None = None
-    p2_break_point_missed: int | None = None
-    p1_distance_run: float | None = None
-    p2_distance_run: float | None = None
-    speed_mph: float | None = None
-    serve_width: str | None = None
-    serve_depth: str | None = None
-    return_depth: str | None = None
-
-
 class MatchTimeline:
     """Ordered, non-empty sequence of points belonging to one match.
 
@@ -93,45 +41,26 @@ class MatchTimeline:
     read-only float matrix (``_floats``, one row per ``_NUMERIC_FIELDS``
     field, NaN where a value is absent), its other text fields as one list
     each (``_text``, ``_POINT_TEXT`` order), and the ``arrays`` extracted
-    from the matrix, mostly views of it. A loaded timeline's matrix is a
-    slice of its load's, and its ``records`` are built from it on first
-    access, then cached. ``MatchTimeline(match_id, records)`` builds the
-    same matrix and lists from its records, and keeps the records.
-    ``players`` holds the names of the first point's players. Treat a
-    timeline as immutable.
+    from the matrix, mostly views of it. ``load_matches`` gives each
+    timeline a slice of its load's matrix; ``records.timeline`` builds one
+    from records, and keeps them. Otherwise ``records`` are built from the
+    stored values on first access, then cached. ``players`` holds the names
+    of the first point's players. Treat a timeline as immutable.
     """
 
-    def __init__(self, match_id: str, records: Sequence[PointRecord]):
-        records = tuple(records)
-        if not records:
-            raise EmptyInputError(f"timeline {match_id!r} has no records")
-        for r in records:
-            if r.match_id != match_id:
-                raise ValueError(
-                    f"record match_id {r.match_id!r} != timeline {match_id!r}"
-                )
-        numbers, text = _record_columns(records)
-        self._store(match_id, np.ascontiguousarray(numbers.T),
-                    tuple(text[f] for f in _POINT_TEXT))
-        self.records = records
-
-    @classmethod
-    def _from_store(cls, match_id: str, floats: np.ndarray, text: tuple[list, ...]):
-        """A loaded timeline, over a slice of its load's float matrix."""
-        timeline = cls.__new__(cls)
-        timeline._store(match_id, floats, text)
-        return timeline
-
-    def _store(self, match_id, floats, text):
+    def __init__(self, match_id: str, floats: np.ndarray, text: tuple[list, ...]):
         floats.flags.writeable = False
         self.match_id = match_id
         self.players = (text[0][0], text[1][0])
         self._floats, self._text = floats, text
-        self.arrays = MatchArrays._from_store(floats)
+        self.arrays = MatchArrays._of_floats(floats)
 
     @cached_property
-    def records(self) -> tuple[PointRecord, ...]:
-        """The points, built from the stored values on first access."""
+    def records(self):
+        """The points as a tuple of ``records.PointRecord``, built from the
+        stored values on first access."""
+        from .records import _RECORD_FIELDS, PointRecord
+
         values = dict(zip(_POINT_TEXT, self._text))
         values.update(zip(_NUMERIC_FIELDS, map(_python_values, self._floats, _INTEGER)))
         ids = [self.match_id] * len(self)
@@ -206,7 +135,7 @@ class MatchArrays:
     distance: np.ndarray     # (2, n)
 
     @classmethod
-    def _from_store(cls, floats: np.ndarray) -> MatchArrays:
+    def _of_floats(cls, floats: np.ndarray) -> MatchArrays:
         """From a timeline's read-only float matrix, one row per
         ``_NUMERIC_FIELDS`` field, NaN where absent. Most arrays are views of
         its rows; a player pair's rows are adjacent in the schema."""
@@ -327,7 +256,6 @@ _COLUMN_SPEC = [
 
 CSV_COLUMNS = tuple(c for c, _, _ in _COLUMN_SPEC)
 _FIELD_FOR_COLUMN = {c: f for c, f, _ in _COLUMN_SPEC}
-_get_csv_fields = attrgetter(*_FIELD_FOR_COLUMN.values())
 
 _OPTIONAL_KINDS = {"opt_one_or_two", "opt_float", "opt_str", "flag"}
 _TEXT_KINDS = frozenset({"str", "opt_str"})
@@ -343,20 +271,6 @@ _POINT_TEXT = tuple(f for _, f, k in _COLUMN_SPEC if k in _TEXT_KINDS)[1:]
 _NUMERIC_FIELDS = [f for _, f, _ in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _INTEGER = [k != "opt_float" for _, f, k in _COLUMN_SPEC if f not in _TEXT_FIELDS]
 _OPTIONAL_FIELDS = tuple(_FIELD_FOR_COLUMN[c] for c in OPTIONAL_COLUMNS)
-# PointRecord's fields in constructor order, read all at once
-_RECORD_FIELDS = [f.name for f in fields(PointRecord)]
-_record_values = attrgetter(*_RECORD_FIELDS)
-_numeric_values = attrgetter(*_NUMERIC_FIELDS)
-_text_values = attrgetter("match_id", *_POINT_TEXT)
-
-
-def _record_columns(records: Sequence[PointRecord]) -> tuple[np.ndarray, dict[str, list]]:
-    """The ``_NUMERIC_FIELDS`` of ``records`` as a (points, fields) float
-    matrix, None as NaN, and each of their text fields as a list."""
-    numbers = np.array(list(map(_numeric_values, records)), dtype=float)
-    text = zip(*map(_text_values, records))
-    return (numbers.reshape(-1, len(_NUMERIC_FIELDS)),
-            dict(zip(("match_id", *_POINT_TEXT), map(list, text))))
 
 
 def _python_values(floats: np.ndarray, integer: bool) -> list:
@@ -591,7 +505,7 @@ class _ParsedColumns:
         text = [list(map(values.__getitem__, picks)) for values in self.text.values()]
         bounds = [0, *(np.flatnonzero(np.diff(codes[order])) + 1).tolist(), len(ids)]
         return [
-            MatchTimeline._from_store(name, floats[:, a:b], tuple(t[a:b] for t in text))
+            MatchTimeline(name, floats[:, a:b], tuple(t[a:b] for t in text))
             for name, a, b in zip(names, bounds, bounds[1:])
         ]
 
@@ -693,9 +607,7 @@ class PointTable:
         return np.isnan(self.floats(field))
 
     def floats(self, field: str) -> np.ndarray:
-        """``field`` of every point as floats, None as NaN; text reads as 0."""
-        if field in _TEXT_FIELDS:
-            return np.where(self.absent(field), np.nan, 0.0)
+        """Numeric ``field`` of every point, None as NaN."""
         return self.numbers[:, _NUMERIC_FIELDS.index(field)]
 
 
@@ -730,15 +642,16 @@ def table_outlier_report(
 ) -> BoxplotReport:
     """Quartiles (linear interpolation), 1.5*IQR fences and outlier counts.
 
-    Outliers are only counted, never removed. Columns with fewer than four
-    present values are skipped with a warning.
+    ``columns`` are numeric CSV columns: a text column raises ValueError,
+    an unknown one KeyError. Outliers are only counted, never removed.
+    Columns with fewer than four present values are skipped with a warning.
     """
     if not len(table):
         raise EmptyInputError("outlier_report needs at least one record")
     stats: dict[str, BoxplotStats] = {}
     skipped: list[str] = []
     for column in columns:
-        values = table.floats(_FIELD_FOR_COLUMN.get(column, column))
+        values = table.floats(_FIELD_FOR_COLUMN[column])
         values = values[~np.isnan(values)]
         if values.size < 4:
             skipped.append(column)
@@ -905,7 +818,7 @@ def table_csv_rows(table: PointTable, imputation: Imputation | None = None) -> I
 
 def _row_formatter(ad_token: bool = False):
     """A function giving the CSV cells of one row of point values in
-    ``_COLUMN_SPEC`` order; ``ad_token`` as for ``points_csv_text``."""
+    ``_COLUMN_SPEC`` order; ``ad_token`` as for ``records.points_csv_text``."""
     formatters = {"elapsed": format_elapsed, "opt_float": lambda x: repr(float(x))}
     if ad_token:
         formatters["score"] = lambda n: "AD" if n == 55 else str(n)
@@ -913,40 +826,14 @@ def _row_formatter(ad_token: bool = False):
     return lambda row: ["" if v is None else fmt(v) for fmt, v in zip(formats, row)]
 
 
-def points_csv_text(records: Iterable[PointRecord], ad_token: bool = False) -> str:
-    """Render records as CSV text in the canonical column order.
-
-    With ``ad_token`` advantage scores are written back as the raw "AD"
-    token instead of their numeric value 55 (useful for building fixtures
-    that exercise the token conversion).
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_row_formatter(ad_token), map(_get_csv_fields, records)))
-    return buf.getvalue()
+# The record layer's names that ``ingest`` still serves, from ``records``
+# on first use (PEP 562): a command that loads ``ingest`` never loads it.
+_RECORD_NAMES = frozenset({"PointRecord", "impute_missing", "points_csv_text"})
 
 
-def impute_missing(records: Sequence[PointRecord]) -> list[PointRecord]:
-    """Fill absent fields from the nearest fully populated record.
+def __getattr__(name):
+    if name not in _RECORD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import records
 
-    Nearness is the plain Euclidean distance over the numeric fields present
-    in both rows (raw scale, no normalisation); ties go to the donor that
-    comes first in ``records`` (for ``clean``: by match id, then set, game
-    and point, not file order). Categorical gaps take the donor's category.
-    Columns that are absent in every record cannot be filled and are left
-    as-is. Records without gaps are returned as they are.
-    """
-    filled = table_imputation(PointTable(*_record_columns(records)))
-    # one constructor call per row, not dataclasses.replace's field walk
-    slots = [_RECORD_FIELDS.index(f) for f in filled.fields]
-    out = list(records)
-    for i, d, gaps in zip(filled.rows.tolist(), filled.donors.tolist(),
-                          filled.gaps.tolist()):
-        values = list(_record_values(records[i]))
-        donor = _record_values(records[d])
-        for slot, gap in zip(slots, gaps):
-            if gap:
-                values[slot] = donor[slot]
-        out[i] = PointRecord(*values)
-    return out
+    return getattr(records, name)

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from tennis_momentum.ingest import MatchTimeline, PointRecord
+from tennis_momentum.ingest import MatchTimeline
+from tennis_momentum.records import PointRecord, timeline
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,7 +78,7 @@ def make_timeline(victors, match_id="m1", **common) -> MatchTimeline:
                 **common,
             )
         )
-    return MatchTimeline(match_id, tuple(records))
+    return timeline(match_id, records)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 
 from tennis_momentum import cli
 from tennis_momentum.cli import main, parse_config_file
-from tennis_momentum.ingest import points_csv_text
+from tennis_momentum.records import points_csv_text
 
 from conftest import REPO_ROOT, make_record, make_timeline
 
@@ -509,17 +509,29 @@ def test_indicators_on_one_segment_is_a_data_error(tmp_path, capsys):
 
 def _counted_record_builds(monkeypatch):
     """A list that grows by one for every PointRecord the package builds."""
-    from tennis_momentum import ingest
+    from tennis_momentum import records
 
     builds = []
-    real = ingest.PointRecord
+    real = records.PointRecord
 
     def counting(*args, **kwargs):
         builds.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ingest, "PointRecord", counting)
+    monkeypatch.setattr(records, "PointRecord", counting)
     return builds
+
+
+def test_record_build_counter_counts_the_records_a_timeline_builds(dataset_path,
+                                                                    monkeypatch):
+    from tennis_momentum.ingest import load_matches
+
+    timeline = load_matches(dataset_path, "2023-wimbledon-1304")[0]
+    builds = _counted_record_builds(monkeypatch)
+    assert len(timeline.records) == len(timeline)
+    assert len(builds) == len(timeline)
+    assert len(timeline.records) == len(timeline)  # cached: no second build
+    assert len(builds) == len(timeline)
 
 
 @pytest.mark.parametrize(
@@ -576,7 +588,7 @@ def test_evaluate_does_not_import_numpy_ma(dataset_path, tmp_path):
 
 
 SRC_ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-LAYERS = {"errors", "ingest", "indicators", "fuzzy", "momentum", "grnn"}
+LAYERS = {"errors", "ingest", "records", "indicators", "fuzzy", "momentum", "grnn"}
 
 
 @pytest.mark.parametrize("commands, loaded", [
@@ -585,7 +597,9 @@ LAYERS = {"errors", "ingest", "indicators", "fuzzy", "momentum", "grnn"}
     (("indicators",), {"errors", "ingest", "indicators"}),
     (("evaluate",), {"errors", "ingest", "indicators", "fuzzy"}),
     (("predict", "expand"), {"errors", "ingest", "momentum", "grnn"}),
-], ids=["import", "clean", "indicators", "evaluate", "predict-expand"])
+    (("correlate", "turning-points", "report"), {"errors", "ingest", "momentum", "grnn"}),
+], ids=["import", "clean", "indicators", "evaluate", "predict-expand",
+        "correlate-turning-points-report"])
 def test_each_subcommand_loads_only_its_layers(dataset_path, tmp_path, commands, loaded):
     # a cold command pays for compiling and running every module it imports
     probe = "import tennis_momentum\n"

@@ -25,6 +25,7 @@ from tennis_momentum.indicators import (
     positivize,
 )
 from tennis_momentum.ingest import MatchTimeline
+from tennis_momentum.records import timeline as timeline_of
 
 from conftest import make_record, make_timeline
 
@@ -341,7 +342,7 @@ def swap_players(tl: MatchTimeline) -> MatchTimeline:
                 p2_distance_run=r.p1_distance_run,
             )
         )
-    return MatchTimeline(tl.match_id, tuple(swapped))
+    return timeline_of(tl.match_id, swapped)
 
 
 def test_series_symmetric_under_player_swap():

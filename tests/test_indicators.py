@@ -20,13 +20,14 @@ from tennis_momentum import (
 )
 from tennis_momentum import indicators
 from tennis_momentum.fuzzy import momentum_series
-from tennis_momentum.ingest import EVENT_FLAGS, MatchTimeline
+from tennis_momentum.ingest import EVENT_FLAGS
 from tennis_momentum.indicators import (
     INDICATOR_NAMES,
     IndicatorVector,
     indicator_matrix,
     indicator_table,
 )
+from tennis_momentum.records import timeline as timeline_of
 
 from conftest import make_record, make_timeline
 
@@ -34,7 +35,7 @@ from conftest import make_record, make_timeline
 def one_segment(records, player):
     """x1..x22 of ``player`` over ``records`` as one segment, and the kinds of
     degenerate range the kernel flags for it."""
-    side = MatchTimeline(records[0].match_id, records).arrays.player(player)
+    side = timeline_of(records[0].match_id, records).arrays.player(player)
     matrix, degenerate = indicator_matrix(side, [0], [len(records)])
     return IndicatorVector(*matrix[0].tolist()), {k for k, m in degenerate.items() if m[0]}
 
@@ -146,7 +147,7 @@ def test_segmentation_by_set_and_game():
                 p1_points_won=pw[0],
             )
         )
-    timeline = MatchTimeline("m1", tuple(records))
+    timeline = timeline_of("m1", records)
     assert len(compute_indicators(timeline, 1, "set")) == 2
     assert len(compute_indicators(timeline, 1, "game")) == 3
     with pytest.raises(ValueError):
@@ -451,7 +452,7 @@ def timelines_for_kernel(draw):
             p2_distance_run=draw(st.none() | st.floats(0.0, 150.0)),
             **dict(zip(flag_names, flag_cells[i].tolist())),
         ))
-    return MatchTimeline("m1", tuple(records))
+    return timeline_of("m1", records)
 
 
 @settings(max_examples=100, deadline=None)
@@ -504,13 +505,13 @@ def test_out_of_order_keys_are_rejected():
                     elapsed_seconds=40 * (i + 1))
         for i, (s, g) in enumerate(keys)
     )
-    timeline = MatchTimeline("m9", records)
+    timeline = timeline_of("m9", records)
     for call in (compute_indicators, lambda tl, p, seg: indicator_table([tl], [p], seg)):
         with pytest.raises(ValueError, match=r"match 'm9'.*\(1, 1\) follows \(1, 2\)"):
             call(timeline, 1, "game")
     # the set key alone is in order
     assert len(compute_indicators(timeline, 1, "set")) == 2
-    backwards = MatchTimeline("m9", tuple(
+    backwards = timeline_of("m9", (
         make_record(match_id="m9", set_no=s, point_no=i + 1) for i, s in enumerate((2, 1))
     ))
     with pytest.raises(ValueError, match="m9"):
@@ -618,7 +619,7 @@ def timeline_lists(draw):
         records = draw(timelines_for_kernel()).records
         match_id = f"m{i}"
         records = tuple(replace(r, match_id=match_id) for r in records)
-        timelines.append(MatchTimeline(match_id, records))
+        timelines.append(timeline_of(match_id, records))
     return timelines
 
 

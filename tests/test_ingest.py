@@ -35,14 +35,19 @@ from tennis_momentum.ingest import (
     REQUIRED_COLUMNS,
     MatchArrays,
     MatchTimeline,
-    PointRecord,
     format_elapsed,
     parse_elapsed,
     point_table,
-    points_csv_text,
     table_csv_rows,
     table_missing_rate,
     table_outlier_report,
+)
+from tennis_momentum.records import (
+    _RECORD_FIELDS,
+    PointRecord,
+    _record_values,
+    points_csv_text,
+    timeline as timeline_of,
 )
 
 from conftest import make_record
@@ -55,7 +60,7 @@ def flatten_timelines(timelines):
 
 def _table(records):
     """``records`` as one PointTable, through a record-built timeline."""
-    return point_table([MatchTimeline(records[0].match_id, records)] if records else [])
+    return point_table([timeline_of(records[0].match_id, records)] if records else [])
 
 
 # --- score tokens ---------------------------------------------------------
@@ -571,7 +576,7 @@ def _reference_load_matches(path, match_id=None):
                     f"match {mid}: duplicate point key {key_b} "
                     f"(rows {row_a} and {row_b})",
                 )
-        timelines.append(MatchTimeline(mid, tuple(r for _, _, r in rows)))
+        timelines.append(timeline_of(mid, (r for _, _, r in rows)))
     return timelines
 
 
@@ -1035,6 +1040,19 @@ def test_boxplot_flags_outlier_but_keeps_it():
     assert stats.outlier_count == 1
 
 
+def test_boxplot_of_a_text_or_unknown_column_raises(timelines):
+    # a text column has no quartiles: it raises rather than summarise zeros
+    table = point_table(timelines)
+    for column in ("serve_width", "match_id"):
+        with pytest.raises(ValueError, match=column):
+            table_outlier_report(table, columns=(column,))
+    # columns are CSV names: a record field that is not one is unknown too
+    for column in ("no_such_column", "p1_untouchable_winner"):
+        with pytest.raises(KeyError, match=column):
+            table_outlier_report(table, columns=(column,))
+    assert table_outlier_report(table, columns=("p1_winner",)).columns["p1_winner"].median == 0
+
+
 # --- clean on the loaded columns -------------------------------------------
 
 # Oracle: the record path clean ran before it worked on the loaded columns,
@@ -1102,12 +1120,12 @@ def _reference_impute_missing(records):
         nearest[members] = ingest._nearest_donors(matrix, donor_indices, rows, mask)
 
     # one constructor call per row, not dataclasses.replace's field walk
-    slots = [ingest._RECORD_FIELDS.index(f) for f in fillable]
+    slots = [_RECORD_FIELDS.index(f) for f in fillable]
     row_gaps = np.column_stack([absent[f] for f in fillable])[incomplete].tolist()
     out = list(records)
     for i, d, gaps in zip(incomplete.tolist(), nearest.tolist(), row_gaps):
-        values = list(ingest._record_values(records[i]))
-        donor = ingest._record_values(records[d])
+        values = list(_record_values(records[i]))
+        donor = _record_values(records[d])
         for slot, gap in zip(slots, gaps):
             if gap:
                 values[slot] = donor[slot]
@@ -1202,7 +1220,7 @@ def _assert_clean_matches_reference(path):
     as record-built timelines, against the record path."""
     expected = _clean_outcome(_reference_clean, load_matches(path))
     assert _clean_outcome(_column_clean, load_matches(path)) == expected
-    built = [MatchTimeline(tl.match_id, tl.records) for tl in load_matches(path)]
+    built = [timeline_of(tl.match_id, tl.records) for tl in load_matches(path)]
     assert _clean_outcome(_column_clean, built) == expected
     separate = [load_matches(path, tl.match_id)[0] for tl in load_matches(path)]
     assert _clean_outcome(_column_clean, separate) == expected
@@ -1224,7 +1242,7 @@ def test_point_table_over_separate_loads_cleans_like_one_load(dataset_path):
 
 def test_record_built_timeline_holds_what_a_loaded_one_holds(dataset_path):
     for loaded in load_matches(dataset_path):
-        built = MatchTimeline(loaded.match_id, loaded.records)
+        built = timeline_of(loaded.match_id, loaded.records)
         assert built.records is loaded.records
         assert (built.match_id, built.players, len(built)) == (
             loaded.match_id, loaded.players, len(loaded))
@@ -1238,17 +1256,41 @@ def test_record_built_timeline_holds_what_a_loaded_one_holds(dataset_path):
             assert a.tobytes() == b.tobytes()
 
 
+def test_record_timeline_rejects_no_records_and_a_foreign_record():
+    with pytest.raises(EmptyInputError, match="'m1' has no records"):
+        timeline_of("m1", [])
+    with pytest.raises(ValueError, match="record match_id 'm2' != timeline 'm1'"):
+        timeline_of("m1", [make_record(), make_record(match_id="m2", point_no=2)])
+    assert type(timeline_of("m1", [make_record()])) is MatchTimeline
+
+
+def test_ingest_serves_the_record_names_from_records():
+    from tennis_momentum import records
+
+    for name in ("PointRecord", "impute_missing", "points_csv_text"):
+        assert getattr(ingest, name) is getattr(records, name)
+    # only those: getattr(ingest, name, None) answers None for any other
+    assert getattr(ingest, "missing_rate", None) is None
+    assert getattr(ingest, "_record_columns", None) is None
+
+    def defined(module):
+        return {name for name, value in vars(module).items()
+                if getattr(value, "__module__", None) == module.__name__}
+
+    assert not defined(ingest) & defined(records)
+
+
 def test_timeline_equality_compares_the_stored_values():
     records = [make_record(point_no=1, speed_mph=None), make_record(point_no=2)]
-    timeline = MatchTimeline("m1", records)
-    same = MatchTimeline("m1", [replace(r) for r in records])
+    timeline = timeline_of("m1", records)
+    same = timeline_of("m1", [replace(r) for r in records])
     assert timeline == same and hash(timeline) == hash(same)
     for changed in (replace(records[1], serve_width=None), replace(records[1], p2_ace=1),
                     replace(records[1], speed_mph=115.5), replace(records[1], player2="C")):
-        assert timeline != MatchTimeline("m1", [records[0], changed])
-    assert timeline != MatchTimeline("m1", records[:1])
+        assert timeline != timeline_of("m1", [records[0], changed])
+    assert timeline != timeline_of("m1", records[:1])
     other = [replace(r, match_id="m2") for r in records]
-    assert timeline != MatchTimeline("m2", other)
+    assert timeline != timeline_of("m2", other)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 1024])

@@ -70,9 +70,9 @@ def test_sets_won_column_is_carried():
                 p1_points_won=pw[0],
             )
         )
-    from tennis_momentum.ingest import MatchTimeline
+    from tennis_momentum.records import timeline
 
-    tl = MatchTimeline("m1", tuple(records))
+    tl = timeline("m1", records)
     assert [s.s1 for s in extract_momentum_samples(tl, 1)] == [0, 0, 1, 1]
 
 

@@ -1,5 +1,8 @@
+import ast
 import importlib
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +16,10 @@ PUBLIC_NAMES = {
     "ImputationError", "InsufficientDataError", "RowParseError", "SchemaError",
     "UndefinedCorrelationError", "UnknownMatchError",
     # ingest
-    "BoxplotReport", "MatchTimeline", "MissingReport", "PointRecord",
-    "impute_missing", "load_matches", "parse_score_token",
+    "BoxplotReport", "MatchTimeline", "MissingReport", "load_matches",
+    "parse_score_token",
+    # records
+    "PointRecord", "impute_missing",
     # indicators
     "IndicatorVector", "PcaResult", "compute_indicators", "normalize_minmax",
     "pca_reduce", "positivize",
@@ -50,3 +55,18 @@ def test_package_root_public_names_are_pinned():
         assert getattr(home, name) is value
     with pytest.raises(AttributeError):
         tennis_momentum.no_such_name
+
+
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    # scipy is installed but undeclared, so no package module may import it
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tennis_momentum"}
+    for path in sorted(Path(tennis_momentum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {name}"
