@@ -251,7 +251,7 @@ def momentum_series(
 
     ends = np.arange(window, n + 1)
     # Degenerate windows (no points won, etc.) are routine here: flags unused.
-    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
+    matrix, _ = indicator_matrix(timeline.player(player), ends - window, ends)
     names = hierarchy.indicator_names
     matrix = matrix[:, [INDICATOR_NAMES.index(name) for name in names]]
     # min-max of -x is fl(max - x) / fl(max - min), positivize's value, and a
@@ -277,5 +277,5 @@ def momentum_series(
         offset += j
     b = second_level_eval(hierarchy.first_level_weights, np.stack(b_rows, axis=1))
     scores = momentum_score(b).tolist()
-    elapsed = timeline.arrays.elapsed[window - 1 :].astype(int).tolist()
+    elapsed = timeline.column("elapsed_seconds")[window - 1 :].astype(int).tolist()
     return [MomentumPoint(t, player, score) for t, score in zip(elapsed, scores)]

@@ -216,10 +216,8 @@ def _segments(
     """
     if segmentation not in ("set", "game"):
         raise ValueError(f"segmentation must be 'set' or 'game', got {segmentation!r}")
-    arrays = timeline.arrays
-    keys = np.column_stack(
-        [arrays.set_no] if segmentation == "set" else [arrays.set_no, arrays.game_no]
-    )
+    key_fields = ("set_no",) if segmentation == "set" else ("set_no", "game_no")
+    keys = np.column_stack([timeline.column(f) for f in key_fields]).astype(int)
     starts = np.concatenate([[0], np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1])
     ends = np.append(starts[1:], keys.shape[0])
     run_keys = keys[starts]
@@ -246,16 +244,13 @@ def _labels(keys: np.ndarray, segmentation: str) -> list[str]:
 # Points per kernel call of _indicator_rows: whole timelines are grouped up
 # to this many points, and a longer timeline is a group of its own.
 _GROUP_POINTS = 2048
-_SIDE_ARRAYS = tuple(f.name for f in fields(PlayerColumns) if f.name != "player")
+_SIDE_ARRAYS = tuple(f.name for f in fields(PlayerColumns))
 
 
 def _concatenated(sides: list[PlayerColumns]) -> PlayerColumns:
     """One PlayerColumns holding the points of ``sides``, one after another."""
-    return PlayerColumns(
-        player=sides[0].player,
-        **{name: np.concatenate([getattr(s, name) for s in sides], axis=-1)
-           for name in _SIDE_ARRAYS},
-    )
+    return PlayerColumns(**{name: np.concatenate([getattr(s, name) for s in sides], axis=-1)
+                            for name in _SIDE_ARRAYS})
 
 
 def _indicator_rows(
@@ -288,7 +283,7 @@ def _indicator_rows(
         starts = np.concatenate([segments[i][1] + o for i, o in zip(group, offsets)])
         ends = np.concatenate([segments[i][2] + o for i, o in zip(group, offsets)])
         for p in players:
-            side = _concatenated([timelines[i].arrays.player(p) for i in group])
+            side = _concatenated([timelines[i].player(p) for i in group])
             matrix, degenerate = indicator_matrix(side, starts, ends)
             matrices[p].append(matrix)
             flags[p].append(degenerate)

@@ -37,15 +37,15 @@ SCORE_POINTS = {"0": 0, "15": 15, "30": 30, "40": 40, "AD": 55, "55": 55}
 class MatchTimeline:
     """Ordered, non-empty sequence of points belonging to one match.
 
-    Every timeline holds its points one way: its numeric fields as one
+    A timeline holds its points one way: its numeric fields as one
     read-only float matrix (``_floats``, one row per ``_NUMERIC_FIELDS``
-    field, NaN where a value is absent), its other text fields as one list
-    each (``_text``, ``_POINT_TEXT`` order), and the ``arrays`` extracted
-    from the matrix, mostly views of it. ``load_matches`` gives each
-    timeline a slice of its load's matrix; ``records.timeline`` builds one
-    from records, and keeps them. Otherwise ``records`` are built from the
-    stored values on first access, then cached. ``players`` holds the names
-    of the first point's players. Treat a timeline as immutable.
+    field, NaN where a value is absent) and its other text fields as one
+    list each (``_text``, ``_POINT_TEXT`` order). ``column`` and ``player``
+    read the matrix; nothing derived from it is kept. ``load_matches`` gives
+    each timeline a slice of its load's matrix; ``records.timeline`` builds
+    one from records, and keeps them. Otherwise ``records`` are built from
+    the stored values on first access, then cached. ``players`` holds the
+    names of the first point's players. Treat a timeline as immutable.
     """
 
     def __init__(self, match_id: str, floats: np.ndarray, text: tuple[list, ...]):
@@ -53,7 +53,6 @@ class MatchTimeline:
         self.match_id = match_id
         self.players = (text[0][0], text[1][0])
         self._floats, self._text = floats, text
-        self.arrays = MatchArrays._of_floats(floats)
 
     @cached_property
     def records(self):
@@ -65,6 +64,36 @@ class MatchTimeline:
         values.update(zip(_NUMERIC_FIELDS, map(_python_values, self._floats, _INTEGER)))
         ids = [self.match_id] * len(self)
         return tuple(map(PointRecord, ids, *(values[f] for f in _RECORD_FIELDS[1:])))
+
+    def column(self, field: str) -> np.ndarray:
+        """Numeric ``field`` of every point, a read-only view; NaN where absent."""
+        return self._floats[_NUMERIC_FIELDS.index(field)]
+
+    def player(self, p: int) -> PlayerColumns:
+        """Player ``p``'s view of the match, built from the float matrix on
+        every call: views of its rows, plus the columns derived from them."""
+        if p not in (1, 2):
+            raise ValueError(f"player must be 1 or 2, got {p!r}")
+        row = dict(zip(_NUMERIC_FIELDS, self._floats))
+        me, opp = f"p{p}_", f"p{3 - p}_"
+        elapsed, server, serve_no = row["elapsed_seconds"], row["server"], row["serve_no"]
+        events = np.stack([row[me + flag] for flag in EVENT_FLAGS])
+        np.nan_to_num(events, copy=False, nan=0.0)
+        return PlayerColumns(
+            won=row["point_victor"] == p,
+            # the first point counts from 0; a clock running backwards gives 0
+            durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
+            sets=row[me + "sets"],
+            score=row[me + "score"],
+            opp_score=row[opp + "score"],
+            points_won=row[me + "points_won"],
+            opp_points_won=row[opp + "points_won"],
+            serving=server == p,
+            first_serve=serve_no == 1,
+            serve_known=~(np.isnan(server) | np.isnan(serve_no)),
+            events=events,
+            distance=row[me + "distance_run"],
+        )
 
     def __len__(self):
         return self._floats.shape[1]
@@ -93,9 +122,8 @@ EVENT_FLAGS = (
 class PlayerColumns:
     """One player's view of a match: own columns plus the opponent's."""
 
-    player: int
     won: np.ndarray             # bool
-    durations: np.ndarray
+    durations: np.ndarray       # seconds since the previous point
     sets: np.ndarray
     score: np.ndarray
     opp_score: np.ndarray
@@ -106,83 +134,6 @@ class PlayerColumns:
     serve_known: np.ndarray     # bool, server and serve_no both present
     events: np.ndarray          # (len(EVENT_FLAGS), n) 0/1, absent = 0
     distance: np.ndarray        # NaN where absent
-
-
-@dataclass(frozen=True)
-class MatchArrays:
-    """Numeric columns of a point sequence, extracted once.
-
-    Per-player columns have a leading axis of 2, index 0 for player 1.
-    Absent event flags read as 0; absent distances, servers and serve
-    numbers as NaN. Durations come from the sequence's own cumulative clock
-    (the first point counts from 0; a clock running backwards gives 0).
-    The arrays are read-only: one instance is shared by every reader of a
-    ``MatchTimeline``.
-    """
-
-    elapsed: np.ndarray      # seconds since the start, as in the records
-    victor: np.ndarray       # 1 or 2
-    durations: np.ndarray
-    set_no: np.ndarray       # int
-    game_no: np.ndarray      # int
-    server: np.ndarray
-    serve_no: np.ndarray
-    serve_known: np.ndarray  # bool, server and serve_no both present
-    sets: np.ndarray         # (2, n)
-    score: np.ndarray        # (2, n)
-    points_won: np.ndarray   # (2, n)
-    events: np.ndarray       # (2, len(EVENT_FLAGS), n)
-    distance: np.ndarray     # (2, n)
-
-    @classmethod
-    def _of_floats(cls, floats: np.ndarray) -> MatchArrays:
-        """From a timeline's read-only float matrix, one row per
-        ``_NUMERIC_FIELDS`` field, NaN where absent. Most arrays are views of
-        its rows; a player pair's rows are adjacent in the schema."""
-        row = dict(zip(_NUMERIC_FIELDS, floats))
-        pair = {name: floats[_NUMERIC_FIELDS.index(f"p1_{name}"):][:2]
-                for name in ("sets", "score", "points_won", "distance_run")}
-        elapsed, server, serve_no = row["elapsed_seconds"], row["server"], row["serve_no"]
-        events = np.stack([row[f"p{p}_{flag}"] for p in (1, 2) for flag in EVENT_FLAGS])
-        np.nan_to_num(events, copy=False, nan=0.0)
-        arrays = cls(
-            elapsed=elapsed,
-            victor=row["point_victor"],
-            durations=np.maximum(elapsed - np.concatenate([[0.0], elapsed[:-1]]), 0.0),
-            set_no=row["set_no"].astype(int),
-            game_no=row["game_no"].astype(int),
-            server=server,
-            serve_no=serve_no,
-            serve_known=~(np.isnan(server) | np.isnan(serve_no)),
-            sets=pair["sets"],
-            score=pair["score"],
-            points_won=pair["points_won"],
-            distance=pair["distance_run"],
-            events=events.reshape(2, len(EVENT_FLAGS), -1),
-        )
-        for array in vars(arrays).values():
-            array.flags.writeable = False
-        return arrays
-
-    def player(self, p: int) -> PlayerColumns:
-        if p not in (1, 2):
-            raise ValueError(f"player must be 1 or 2, got {p!r}")
-        me, opp = p - 1, 2 - p
-        return PlayerColumns(
-            player=p,
-            won=self.victor == p,
-            durations=self.durations,
-            sets=self.sets[me],
-            score=self.score[me],
-            opp_score=self.score[opp],
-            points_won=self.points_won[me],
-            opp_points_won=self.points_won[opp],
-            serving=self.server == p,
-            first_serve=self.serve_no == 1,
-            serve_known=self.serve_known,
-            events=self.events[me],
-            distance=self.distance[me],
-        )
 
 
 @dataclass(frozen=True)
@@ -435,6 +386,21 @@ _PARSE_COLUMN = {
 
 # Rows read and parsed together: bounds the raw cells held at once.
 _BLOCK_ROWS = 1024
+# File rows named, at most, by the warning about a clock that runs backwards.
+_NAMED_ROWS = 5
+
+
+def _warn_backward_clock(elapsed: np.ndarray, codes: np.ndarray, numbers: np.ndarray) -> None:
+    """One warning for the points whose clock is below that of the point
+    before them in their match; their durations read as 0. The arguments
+    are each point's clock, match code and file row, in timeline order."""
+    rows = np.sort(numbers[1:][(elapsed[1:] < elapsed[:-1]) & (codes[1:] == codes[:-1])])
+    if rows.size:
+        named = ", ".join(map(str, rows[:_NAMED_ROWS].tolist()))
+        more = ", ..." if rows.size > _NAMED_ROWS else ""
+        warnings.warn(f"match clock below the previous point's at {rows.size} point(s),"
+                      f" rows {named}{more}; their durations read as 0",
+                      DataQualityWarning, stacklevel=4)
 
 
 class _ParsedColumns:
@@ -501,6 +467,8 @@ class _ParsedColumns:
                                 f" (rows {numbers[a]} and {numbers[b]})")
 
         floats = np.take(floats, order, axis=1)  # C order: each field's points adjacent
+        _warn_backward_clock(floats[_NUMERIC_FIELDS.index("elapsed_seconds")],
+                             codes[order], numbers[order])
         picks = order.tolist()
         text = [list(map(values.__getitem__, picks)) for values in self.text.values()]
         bounds = [0, *(np.flatnonzero(np.diff(codes[order])) + 1).tolist(), len(ids)]

@@ -99,7 +99,7 @@ def extract_momentum_samples(
     stand-in) is omitted; that is the recommended setting for training and
     correlation work.
     """
-    side = timeline.arrays.player(player)
+    side = timeline.player(player)
     won = side.won
     positions = np.arange(won.size)
     last_loss = np.maximum.accumulate(np.where(won, -1, positions))
@@ -287,7 +287,7 @@ def extra_feature_columns(
     Every column has one value per point, computed over the match history up
     to and including that point. Flags absent from the file count as zero.
     """
-    side = timeline.arrays.player(player)
+    side = timeline.player(player)
     won = side.won.astype(float)
     serving = side.serving.astype(float)
     first_serve = side.first_serve.astype(float)

@@ -101,8 +101,8 @@ def _record_columns(records: Sequence[PointRecord]) -> tuple[np.ndarray, dict[st
 def timeline(match_id: str, records: Iterable[PointRecord]) -> MatchTimeline:
     """The timeline of ``records``, in the order given, keeping the records.
 
-    It holds the same float matrix, text lists and arrays as the loaded
-    timeline of the same points. Every record must belong to ``match_id``.
+    It holds the same float matrix and text lists as the loaded timeline of
+    the same points. Every record must belong to ``match_id``.
     """
     records = tuple(records)
     if not records:

@@ -405,7 +405,7 @@ def _reference_momentum_series(timeline, player, window, hierarchy=None):
     if hierarchy is None:
         hierarchy = FuzzyHierarchy()
     ends = np.arange(window, len(timeline) + 1)
-    matrix, _ = indicator_matrix(timeline.arrays.player(player), ends - window, ends)
+    matrix, _ = indicator_matrix(timeline.player(player), ends - window, ends)
     matrix = matrix[:, [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]]
     names = hierarchy.indicator_names
 
@@ -435,7 +435,7 @@ def _reference_momentum_series(timeline, player, window, hierarchy=None):
     _, grades = _grade(u)
     points = []
     a = hierarchy.first_level_weights
-    elapsed = timeline.arrays.elapsed[window - 1 :].astype(int).tolist()
+    elapsed = timeline.column("elapsed_seconds")[window - 1 :].astype(int).tolist()
     for t in range(u.shape[0]):
         offset = 0
         b_rows = []
@@ -476,7 +476,7 @@ def test_series_matches_reference_with_constant_x2(window):
     # which positivize rejects and the reference sets to 0.5
     tl = alternating_then_streak_timeline()
     ends = np.arange(window, len(tl) + 1)
-    matrix, _ = indicator_matrix(tl.arrays.player(1), ends - window, ends)
+    matrix, _ = indicator_matrix(tl.player(1), ends - window, ends)
     x2 = matrix[:, INDICATOR_NAMES.index("x2")]
     assert (x2 == 40.0).all()
     with pytest.raises(DegenerateRangeError):

@@ -35,7 +35,7 @@ from conftest import make_record, make_timeline
 def one_segment(records, player):
     """x1..x22 of ``player`` over ``records`` as one segment, and the kinds of
     degenerate range the kernel flags for it."""
-    side = timeline_of(records[0].match_id, records).arrays.player(player)
+    side = timeline_of(records[0].match_id, records).player(player)
     matrix, degenerate = indicator_matrix(side, [0], [len(records)])
     return IndicatorVector(*matrix[0].tolist()), {k for k, m in degenerate.items() if m[0]}
 
@@ -299,9 +299,9 @@ def _warn(msg):
 
 # Oracle: x1..x22 of one slice at a time, with numpy reductions over the
 # slice itself; indicator_matrix must give the same bits for every range.
-def _reference_segment_indicators(side, rows):
-    """x1..x22 for one player over the points ``rows`` selects."""
-    player = side.player
+def _reference_segment_indicators(side, player, rows):
+    """x1..x22 for ``player``, whose columns are ``side``, over the points
+    ``rows`` selects."""
     won = side.won[rows]
     m = won.size
     x1 = float(won.sum())
@@ -378,14 +378,14 @@ _REFERENCE_KINDS = {
 }
 
 
-def _reference(side, starts, ends):
+def _reference(side, player, starts, ends):
     """Oracle rows and, per kind, which ranges made the oracle warn."""
     rows = []
     kinds = {kind: [] for kind in _REFERENCE_KINDS.values()}
     for start, end in zip(starts, ends):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows.append(_reference_segment_indicators(side, slice(start, end)))
+            rows.append(_reference_segment_indicators(side, player, slice(start, end)))
         seen = {kind for text, kind in _REFERENCE_KINDS.items()
                 if any(text in str(w.message) for w in caught)}
         for kind, flags in kinds.items():
@@ -393,9 +393,9 @@ def _reference(side, starts, ends):
     return np.array(rows), kinds
 
 
-def _assert_kernel_matches_reference(side, starts, ends):
+def _assert_kernel_matches_reference(side, player, starts, ends):
     matrix, degenerate = indicator_matrix(side, starts, ends)
-    expected, kinds = _reference(side, starts, ends)
+    expected, kinds = _reference(side, player, starts, ends)
     mismatched = np.argwhere(matrix != expected)
     assert mismatched.size == 0, [
         (int(i), INDICATOR_NAMES[j], matrix[i, j], expected[i, j]) for i, j in mismatched[:5]
@@ -405,8 +405,8 @@ def _assert_kernel_matches_reference(side, starts, ends):
 
 def _bounds(timeline, segmentation):
     keys = np.column_stack(
-        [timeline.arrays.set_no]
-        + ([timeline.arrays.game_no] if segmentation == "game" else [])
+        [timeline.column("set_no")]
+        + ([timeline.column("game_no")] if segmentation == "game" else [])
     )
     starts = [0] + [i for i in range(1, len(keys)) if (keys[i] != keys[i - 1]).any()]
     return np.array(starts), np.array(starts[1:] + [len(keys)])
@@ -458,27 +458,27 @@ def timelines_for_kernel(draw):
 @settings(max_examples=100, deadline=None)
 @given(timelines_for_kernel(), st.sampled_from((1, 2)), st.data())
 def test_kernel_matches_reference_bit_for_bit(timeline, player, data):
-    side = timeline.arrays.player(player)
+    side = timeline.player(player)
     n = len(timeline)
     for segmentation in ("set", "game"):
-        _assert_kernel_matches_reference(side, *_bounds(timeline, segmentation))
+        _assert_kernel_matches_reference(side, player, *_bounds(timeline, segmentation))
     window = data.draw(st.integers(1, n), label="window")
-    _assert_kernel_matches_reference(side, *_windows(n, window))
+    _assert_kernel_matches_reference(side, player, *_windows(n, window))
 
 
 def test_kernel_matches_reference_on_sample(timelines):
     for tl in timelines:
         for player in (1, 2):
-            side = tl.arrays.player(player)
+            side = tl.player(player)
             for segmentation in ("set", "game"):
-                _assert_kernel_matches_reference(side, *_bounds(tl, segmentation))
+                _assert_kernel_matches_reference(side, player, *_bounds(tl, segmentation))
             # a whole match exceeds numpy's 128-element pairwise-sum block
             for window in (5, 20, 60, len(tl)):
-                _assert_kernel_matches_reference(side, *_windows(len(tl), window))
+                _assert_kernel_matches_reference(side, player, *_windows(len(tl), window))
 
 
 def test_kernel_blocks_split_into_chunks_give_the_same_bits(timelines, monkeypatch):
-    side = timelines[1].arrays.player(1)
+    side = timelines[1].player(1)
     bounds = _windows(len(timelines[1]), 20)
     whole, _ = indicator_matrix(side, *bounds)
     monkeypatch.setattr(indicators, "_BLOCK_CELLS", 50)  # 2 windows of 20 per block
@@ -488,9 +488,9 @@ def test_kernel_blocks_split_into_chunks_give_the_same_bits(timelines, monkeypat
 
 def test_compute_indicators_matches_reference_segments(timelines):
     tl = timelines[0]
-    side = tl.arrays.player(2)
+    side = tl.player(2)
     starts, ends = _bounds(tl, "game")
-    expected, _ = _reference(side, starts, ends)
+    expected, _ = _reference(side, 2, starts, ends)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
         vectors = compute_indicators(tl, 2, "game")
@@ -543,7 +543,7 @@ def test_momentum_series_does_not_warn_on_windows_without_wins():
 # Oracle: one kernel call per timeline, as before timelines were grouped,
 # and the loop the indicators command ran over it.
 def _reference_compute_indicators(timeline, player, segmentation="set"):
-    side = timeline.arrays.player(player)
+    side = timeline.player(player)
     _, starts, ends = indicators._segments(timeline, segmentation)
     matrix, degenerate = indicator_matrix(side, starts, ends)
     indicators._warn_degenerate(player, degenerate)

@@ -33,8 +33,8 @@ from tennis_momentum.ingest import (
     CSV_COLUMNS,
     OPTIONAL_COLUMNS,
     REQUIRED_COLUMNS,
-    MatchArrays,
     MatchTimeline,
+    PlayerColumns,
     format_elapsed,
     parse_elapsed,
     point_table,
@@ -312,6 +312,32 @@ def test_load_unknown_columns_warn_once_naming_them(tmp_path):
     assert timeline.records == (make_record(),)
 
 
+def test_clock_running_backwards_warns_once_with_its_file_row(tmp_path, dataset_path):
+    # file row 1 holds point 3, whose clock is below point 2's; m2 starts
+    # below m1's last clock, which is no backward step
+    points = [("m1", 3, 70), ("m1", 1, 40), ("m1", 2, 80), ("m1", 4, 120), ("m2", 1, 10)]
+    path = tmp_path / "backwards.csv"
+    path.write_text(points_csv_text(make_record(match_id=m, point_no=n, elapsed_seconds=t)
+                                    for m, n, t in points))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m1, _ = load_matches(path)
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        DataQualityWarning,
+        "match clock below the previous point's at 1 point(s), rows 1;"
+        " their durations read as 0",
+    )]
+    assert m1.player(1).durations.tolist() == [40.0, 40.0, 0.0, 50.0]
+
+    path.write_text(points_csv_text(make_record(point_no=n, elapsed_seconds=100 - n)
+                                    for n in range(1, 9)))
+    with pytest.warns(DataQualityWarning, match=r"at 7 point\(s\), rows 2, 3, 4, 5, 6, \.\.\.;"):
+        load_matches(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_matches(dataset_path)
+
+
 def test_load_header_only_is_empty_input(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text(_csv_lines([make_record()])[0] + "\n")
@@ -566,17 +592,29 @@ def _reference_load_matches(path, match_id=None):
         raise UnknownMatchError(match_id, sorted(skipped - {""}))
 
     timelines = []
+    backward = []  # rows whose clock is below the previous point's
     for mid in sorted(by_match):
         # stable: of two rows with one key, the later row comes second
         rows = sorted(by_match[mid], key=lambda item: item[0])
-        for (key_a, row_a, _), (key_b, row_b, _) in zip(rows, rows[1:]):
+        for (key_a, row_a, a), (key_b, row_b, b) in zip(rows, rows[1:]):
             if key_a == key_b:
                 raise RowParseError(
                     row_b,
                     f"match {mid}: duplicate point key {key_b} "
                     f"(rows {row_a} and {row_b})",
                 )
+            if b.elapsed_seconds < a.elapsed_seconds:
+                backward.append(row_b)
         timelines.append(timeline_of(mid, (r for _, _, r in rows)))
+    if backward:
+        backward.sort()
+        named = ", ".join(map(str, backward[:5])) + (", ..." if len(backward) > 5 else "")
+        warnings.warn(
+            f"match clock below the previous point's at {len(backward)} point(s),"
+            f" rows {named}; their durations read as 0",
+            DataQualityWarning,
+            stacklevel=2,
+        )
     return timelines
 
 
@@ -591,7 +629,7 @@ def _outcome(load, path, match_id):
     loaded = [
         # repr tells 1 from 1.0 and Python numbers from NumPy scalars
         (tl.match_id, len(tl), tl.players, repr(tl.records),
-         [getattr(tl.arrays, f.name) for f in fields(MatchArrays)])
+         [getattr(tl.player(p), f.name) for p in (1, 2) for f in fields(PlayerColumns)])
         for tl in timelines
     ]
     return [str(w.message) for w in caught], None, loaded
@@ -1250,10 +1288,22 @@ def test_record_built_timeline_holds_what_a_loaded_one_holds(dataset_path):
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
         assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
         assert built._text == loaded._text
-        for field in fields(MatchArrays):
-            a, b = getattr(built.arrays, field.name), getattr(loaded.arrays, field.name)
-            assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
-            assert a.tobytes() == b.tobytes()
+        for p in (1, 2):
+            built_side, loaded_side = built.player(p), loaded.player(p)
+            for field in fields(PlayerColumns):
+                a, b = getattr(built_side, field.name), getattr(loaded_side, field.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
+
+def test_loaded_timeline_holds_only_its_slice_and_text(dataset_path):
+    timelines = load_matches(dataset_path)
+    buffer = timelines[0]._floats.base
+    for tl in timelines:
+        assert vars(tl).keys() == {"match_id", "players", "_floats", "_text"}
+        assert tl._floats.base is buffer and np.shares_memory(tl._floats, buffer)
+        with pytest.raises(ValueError, match="player must be 1 or 2, got 3"):
+            tl.player(3)
 
 
 def test_record_timeline_rejects_no_records_and_a_foreign_record():

@@ -1,8 +1,9 @@
 """Indicator, momentum and feature values pinned on the committed sample.
 
 ``tests/data/pinned_values.json`` holds reference values computed from
-``data/sample_points.csv`` by the record-by-record implementation that
-``MatchArrays`` replaced; the array code must reproduce them to 1e-12.
+``data/sample_points.csv`` by the record-by-record implementation that the
+column code replaced; the columns of ``MatchTimeline.player`` must reproduce
+them to 1e-12.
 Regenerate (only when a change of these numbers is intended) with::
 
     PYTHONPATH=src python tests/test_pinned_values.py
