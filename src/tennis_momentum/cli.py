@@ -1,11 +1,11 @@
 """Command-line front end for the analytics pipeline.
 
 Subcommands: clean, indicators, evaluate, correlate, turning-points,
-predict, expand, report. Outputs land under ``--out`` in one directory
-per match id; file names encode the subcommand and a hash of the
-effective configuration, so identical configurations overwrite their own
-previous outputs and nothing else. All writes are atomic
-(write-to-temp-then-rename) and byte-deterministic for a fixed config.
+predict, expand, report, and pipeline (all eight on one load). Outputs
+land under ``--out`` in one directory per match id; file names encode
+the subcommand and a hash of the effective configuration, so identical
+configurations overwrite their own previous outputs and nothing else.
+All writes are atomic (write-to-temp-then-rename) and byte-deterministic.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -20,7 +20,7 @@ import sys
 import tempfile
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,14 +222,14 @@ class Outputs:
             self.csv(name, header, rows)
 
 
-def _load(config: RunConfig) -> list[MatchTimeline]:
-    """The timelines of ``--data``; with ``--match``, of that match only."""
+def _load(config: RunConfig, match: str) -> list[MatchTimeline]:
+    """The timelines of ``--data``; with ``match``, of that match only."""
     if not config.data:
         raise UsageError("--data is required")
     path = Path(config.data)
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
-    return load_matches(path, config.match or None)
+    return load_matches(path, match or None)
 
 
 def _select_match(timelines: list[MatchTimeline], config: RunConfig) -> MatchTimeline:
@@ -458,6 +458,33 @@ def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     return out.paths
 
 
+def cmd_pipeline(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
+    """Every command on one load: clean and indicators over every match,
+    the rest on ``--match``. Prints each command's files as it ends, then
+    the held-out prediction report and expansion summary of each player,
+    read from the files of this run."""
+    _select_match(timelines, config)  # before any write
+    whole = replace(config, match="", player=0)
+    for command, scoped in ((cmd_clean, whole), (cmd_indicators, whole),
+                            (cmd_evaluate, config), (cmd_correlate, config),
+                            (cmd_turning_points, config), (cmd_predict, config),
+                            (cmd_expand, config), (cmd_report, config)):
+        for path in command(scoped, timelines):
+            print(path)
+    outputs = Outputs(config)
+    for player in _players(config):
+        predict = json.loads(outputs.path(f"predict-report-p{player}", "json").read_text())
+        expand = json.loads(outputs.path(f"expand-summary-p{player}", "json").read_text())
+        print()
+        print(f"match {config.match}, player {player}")
+        print(f"  held-out MSE {predict['mse']:.4f}, ACC {predict['acc']:.4f} "
+              f"(sigma {predict['sigma']:.3f})")
+        print(f"  expansion: baseline ACC {expand['baseline_acc']:.4f} -> "
+              f"best {expand['best_acc']:.4f} with "
+              f"{expand['best_acc_features']} features")
+    return []
+
+
 _COMMANDS = {
     "clean": cmd_clean,
     "indicators": cmd_indicators,
@@ -467,6 +494,7 @@ _COMMANDS = {
     "predict": cmd_predict,
     "expand": cmd_expand,
     "report": cmd_report,
+    "pipeline": cmd_pipeline,
 }
 
 
@@ -498,21 +526,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def main(argv=None, timelines=None) -> int:
+def main(argv=None) -> int:
     """Run one subcommand; returns its exit code.
 
-    Without ``timelines`` the command loads ``--data`` (with ``--match``,
-    only that match's rows are parsed). Passing the result of
-    ``load_matches`` on ``--data`` instead lets one process run several
-    subcommands from one load; ``--data`` still enters the configuration
-    digest, so the output file names are the same either way.
+    The command loads ``--data``: with ``--match`` only that match's rows
+    are parsed, except for ``pipeline``, whose clean and indicators runs
+    need every match.
     """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = resolve_config(args)
-        if timelines is None:
-            timelines = _load(config)
+        timelines = _load(config, "" if args.command == "pipeline" else config.match)
         paths = _COMMANDS[args.command](config, timelines)
     # before ValueError: some data errors are also ValueErrors
     except (DataError, OSError) as exc:

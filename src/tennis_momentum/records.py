@@ -27,6 +27,7 @@ from .ingest import (
     MatchTimeline,
     PointTable,
     _row_formatter,
+    _warn_backward_clock,
     table_imputation,
 )
 
@@ -102,7 +103,9 @@ def timeline(match_id: str, records: Iterable[PointRecord]) -> MatchTimeline:
     """The timeline of ``records``, in the order given, keeping the records.
 
     It holds the same float matrix and text lists as the loaded timeline of
-    the same points. Every record must belong to ``match_id``.
+    the same points. Every record must belong to ``match_id``. Points whose
+    clock is below the previous point's are warned about, as
+    ``load_matches`` does, by their 1-based position in ``records``.
     """
     records = tuple(records)
     if not records:
@@ -111,6 +114,9 @@ def timeline(match_id: str, records: Iterable[PointRecord]) -> MatchTimeline:
         if r.match_id != match_id:
             raise ValueError(f"record match_id {r.match_id!r} != timeline {match_id!r}")
     numbers, text = _record_columns(records)
+    _warn_backward_clock(numbers[:, _NUMERIC_FIELDS.index("elapsed_seconds")],
+                         np.zeros(len(records)), np.arange(1, len(records) + 1),
+                         stacklevel=3)
     built = MatchTimeline(match_id, np.ascontiguousarray(numbers.T),
                           tuple(text[f] for f in _POINT_TEXT))
     built.records = records

@@ -85,6 +85,16 @@ def test_evaluate_unknown_match_lists_available(tiny_csv, tmp_path, capsys):
     assert "m-a" in err and "m-b" in err
 
 
+def test_pipeline_checks_its_match_before_writing(tiny_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("pipeline", "--data", tiny_csv, "--match", "nope", "--out", out) == 2
+    assert "unknown match id 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("pipeline", "--data", tiny_csv, "--out", out) == 1
+    assert capsys.readouterr().err == "usage error: --match is required for this subcommand\n"
+    assert not out.exists()
+
+
 def _edit_cells(path, edits):
     """Rewrite cells of a CSV; ``edits`` maps (data row, column) to the new cell."""
     with path.open(newline="", encoding="utf-8") as fh:
@@ -370,8 +380,9 @@ def test_every_csv_output_goes_through_write_rows(dataset_path, tmp_path, capsys
     printed = capsys.readouterr().out.splitlines()
     assert calls == [p for p in printed if p.endswith(".csv")]
     # clean 3, indicators 1, evaluate 1, then per player: correlate 1,
-    # turning-points 2, predict 1, expand 1; report writes JSON only
-    assert len(calls) == 3 + 1 + 1 + 2 * (1 + 2 + 1 + 1)
+    # turning-points 2, predict 1, expand 1; report writes JSON only.
+    # Each command runs alone, then again within pipeline.
+    assert len(calls) == 2 * (3 + 1 + 1 + 2 * (1 + 2 + 1 + 1))
 
 
 def test_config_file_layering(tmp_path, tiny_csv):
@@ -537,7 +548,7 @@ def test_record_build_counter_counts_the_records_a_timeline_builds(dataset_path,
 @pytest.mark.parametrize(
     "command",
     ["clean", "indicators", "evaluate", "correlate", "turning-points", "predict",
-     "expand", "report"],
+     "expand", "report", "pipeline"],
 )
 def test_column_commands_build_no_records(dataset_path, tmp_path, monkeypatch, command):
     builds = _counted_record_builds(monkeypatch)
@@ -555,13 +566,13 @@ def test_clean_leaves_the_loaded_columns_as_they_were(dataset_path, tmp_path, mo
     timelines = load_matches(dataset_path)
     before = stored(timelines)
     builds = _counted_record_builds(monkeypatch)
-    assert main(["clean", "--data", str(dataset_path), "--out", str(tmp_path)],
-                timelines) == 0
+    config = cli.RunConfig(data=str(dataset_path), out=str(tmp_path))
+    assert cli.cmd_clean(config, timelines)
     assert stored(timelines) == before
     # the cleaned file filled gaps that the loaded points still have
     assert any(None in tl._text[-1] for tl in timelines)
-    assert main(["report", "--data", str(dataset_path), "--out", str(tmp_path),
-                 "--match", "2023-wimbledon-1304"], timelines) == 0
+    report = dataclasses.replace(config, match="2023-wimbledon-1304")
+    assert cli.cmd_report(report, timelines)
     # equality and hashing read the stored values, not records
     assert timelines == load_matches(dataset_path)
     assert len(set(timelines + load_matches(dataset_path))) == len(timelines)
@@ -598,8 +609,9 @@ LAYERS = {"errors", "ingest", "records", "indicators", "fuzzy", "momentum", "grn
     (("evaluate",), {"errors", "ingest", "indicators", "fuzzy"}),
     (("predict", "expand"), {"errors", "ingest", "momentum", "grnn"}),
     (("correlate", "turning-points", "report"), {"errors", "ingest", "momentum", "grnn"}),
+    (("pipeline",), {"errors", "ingest", "indicators", "fuzzy", "momentum", "grnn"}),
 ], ids=["import", "clean", "indicators", "evaluate", "predict-expand",
-        "correlate-turning-points-report"])
+        "correlate-turning-points-report", "pipeline"])
 def test_each_subcommand_loads_only_its_layers(dataset_path, tmp_path, commands, loaded):
     # a cold command pays for compiling and running every module it imports
     probe = "import tennis_momentum\n"

@@ -59,8 +59,13 @@ def flatten_timelines(timelines):
 
 
 def _table(records):
-    """``records`` as one PointTable, through a record-built timeline."""
-    return point_table([timeline_of(records[0].match_id, records)] if records else [])
+    """``records`` as one PointTable, through a record-built timeline; the
+    timeline's clock warning is not the table functions' to give."""
+    if not records:
+        return point_table([])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "match clock below", DataQualityWarning)
+        return point_table([timeline_of(records[0].match_id, records)])
 
 
 # --- score tokens ---------------------------------------------------------
@@ -338,6 +343,21 @@ def test_clock_running_backwards_warns_once_with_its_file_row(tmp_path, dataset_
         load_matches(dataset_path)
 
 
+def test_record_timeline_warns_of_a_backward_clock_by_position():
+    records = [make_record(point_no=n, elapsed_seconds=t)
+               for n, t in enumerate((40, 30, 90), start=1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = timeline_of("m1", records)
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [(
+        DataQualityWarning,
+        "match clock below the previous point's at 1 point(s), rows 2;"
+        " their durations read as 0",
+        __file__,
+    )]
+    assert built.player(1).durations.tolist() == [40.0, 0.0, 60.0]
+
+
 def test_load_header_only_is_empty_input(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text(_csv_lines([make_record()])[0] + "\n")
@@ -605,7 +625,10 @@ def _reference_load_matches(path, match_id=None):
                 )
             if b.elapsed_seconds < a.elapsed_seconds:
                 backward.append(row_b)
-        timelines.append(timeline_of(mid, (r for _, _, r in rows)))
+        # the warning below names file rows; timeline_of's own names positions
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "match clock below", DataQualityWarning)
+            timelines.append(timeline_of(mid, (r for _, _, r in rows)))
     if backward:
         backward.sort()
         named = ", ".join(map(str, backward[:5])) + (", ..." if len(backward) > 5 else "")

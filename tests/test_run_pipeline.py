@@ -1,4 +1,5 @@
-"""scripts/run_pipeline.py: one load per process, same files as separate CLI runs."""
+"""scripts/run_pipeline.py: one CLI call and one load per process, same files as
+separate CLI runs."""
 
 import csv
 import importlib.util
@@ -27,33 +28,43 @@ def pipeline():
 
 @pytest.fixture(scope="module")
 def pipeline_run(pipeline, dataset_path, tmp_path_factory):
-    """One pipeline run; returns its output directory and every load it made."""
+    """One pipeline run; returns its output directory, every ``cli.main``
+    call and every load it made."""
     out = tmp_path_factory.mktemp("pipeline")
-    loads = []
+    calls, loads = [], []
+    real_main = cli.main
 
-    def counting(*args, **kwargs):
+    def counting_main(argv=None):
+        calls.append(argv)
+        return real_main(argv)
+
+    def counting_load(*args, **kwargs):
         loads.append(args)
         return load_matches(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "load_matches", counting)
-        mp.setattr(cli, "load_matches", counting)
+        mp.setattr(cli, "main", counting_main)
+        mp.setattr(cli, "load_matches", counting_load)
         pipeline.main(["--data", str(dataset_path), "--match", MATCH, "--player", "2",
                        "--out", str(out)])
-    return out, loads
+    return out, calls, loads
 
 
 def _files(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_pipeline_loads_the_file_once(pipeline_run, dataset_path):
-    _, loads = pipeline_run
-    assert loads == [(str(dataset_path),)]
+def test_pipeline_loads_the_file_once(pipeline, pipeline_run, dataset_path):
+    out, calls, loads = pipeline_run
+    assert calls == [["pipeline", "--config", str(pipeline.SETTINGS), "--data",
+                      str(dataset_path), "--match", MATCH, "--player", "2", "--out",
+                      str(out)]]
+    # every match: clean and indicators run over the whole file
+    assert loads == [(dataset_path, None)]
 
 
 def test_pipeline_writes_what_separate_cli_runs_write(pipeline_run, dataset_path, tmp_path):
-    out, _ = pipeline_run
+    out, _, _ = pipeline_run
     separate = tmp_path / "separate"
     base = ["--data", str(dataset_path), "--out", str(separate)]
     scoped = base + ["--match", MATCH, "--player", "2"]
@@ -122,3 +133,22 @@ def test_pipeline_bad_row_is_data_error(tmp_path, dataset_path):
     assert done.stderr.startswith("data error: row 5: bad point_victor value '9'")
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_script_takes_every_cli_setting_and_a_config_of_its_own(pipeline, dataset_path,
+                                                                tmp_path, capsys):
+    with pytest.raises(SystemExit) as bad:
+        pipeline.main(["--no-such-flag"])
+    assert bad.value.code == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments")
+    # a --config of the caller's replaces the script's settings: no
+    # --player 1 from them, so both players are summarised
+    config = tmp_path / "mine.conf"
+    config.write_text(f"data = {dataset_path}\nmatch = {MATCH}\nsigma_count = 4\n")
+    pipeline.main(["--config", str(config), "--folds", "3", "--out", str(tmp_path)])
+    summary = capsys.readouterr().out.split("\n\n", 1)[1]
+    assert summary.startswith(f"match {MATCH}, player 1\n")
+    assert f"\n\nmatch {MATCH}, player 2\n" in summary
+    digest = cli.RunConfig(data=str(dataset_path), match=MATCH, sigma_count=4,
+                           folds=3).digest()
+    assert (tmp_path / MATCH / f"predict-report-p2-{digest}.json").exists()
