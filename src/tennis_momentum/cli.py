@@ -462,7 +462,7 @@ def cmd_pipeline(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path
     """Every command on one load: clean and indicators over every match,
     the rest on ``--match``. Prints each command's files as it ends, then
     the held-out prediction report and expansion summary of each player,
-    read from the files of this run."""
+    read from the files of this run. Returns no paths: they are printed."""
     _select_match(timelines, config)  # before any write
     whole = replace(config, match="", player=0)
     for command, scoped in ((cmd_clean, whole), (cmd_indicators, whole),

@@ -391,17 +391,17 @@ _NAMED_ROWS = 5
 
 
 def _warn_backward_clock(elapsed: np.ndarray, codes: np.ndarray, numbers: np.ndarray,
-                         stacklevel: int = 4) -> None:
+                         noun: str = "rows", stacklevel: int = 4) -> None:
     """One warning for the points whose clock is below that of the point
     before them in their match; their durations read as 0. The arguments
     are each point's clock, match code and file row (or other number that
-    names it), in timeline order."""
+    names it, with ``noun`` saying what the numbers are), in timeline order."""
     rows = np.sort(numbers[1:][(elapsed[1:] < elapsed[:-1]) & (codes[1:] == codes[:-1])])
     if rows.size:
         named = ", ".join(map(str, rows[:_NAMED_ROWS].tolist()))
         more = ", ..." if rows.size > _NAMED_ROWS else ""
         warnings.warn(f"match clock below the previous point's at {rows.size} point(s),"
-                      f" rows {named}{more}; their durations read as 0",
+                      f" {noun} {named}{more}; their durations read as 0",
                       DataQualityWarning, stacklevel=stacklevel)
 
 

@@ -116,7 +116,7 @@ def timeline(match_id: str, records: Iterable[PointRecord]) -> MatchTimeline:
     numbers, text = _record_columns(records)
     _warn_backward_clock(numbers[:, _NUMERIC_FIELDS.index("elapsed_seconds")],
                          np.zeros(len(records)), np.arange(1, len(records) + 1),
-                         stacklevel=3)
+                         "positions", stacklevel=3)
     built = MatchTimeline(match_id, np.ascontiguousarray(numbers.T),
                           tuple(text[f] for f in _POINT_TEXT))
     built.records = records

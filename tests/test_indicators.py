@@ -452,7 +452,15 @@ def timelines_for_kernel(draw):
             p2_distance_run=draw(st.none() | st.floats(0.0, 150.0)),
             **dict(zip(flag_names, flag_cells[i].tolist())),
         ))
-    return timeline_of("m1", records)
+    return _quiet_timeline("m1", records)
+
+
+def _quiet_timeline(match_id, records):
+    """``timeline_of`` without its warning about a clock that runs
+    backwards, which the generated timelines do on purpose."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "match clock below", DataQualityWarning)
+        return timeline_of(match_id, records)
 
 
 @settings(max_examples=100, deadline=None)
@@ -619,7 +627,7 @@ def timeline_lists(draw):
         records = draw(timelines_for_kernel()).records
         match_id = f"m{i}"
         records = tuple(replace(r, match_id=match_id) for r in records)
-        timelines.append(timeline_of(match_id, records))
+        timelines.append(_quiet_timeline(match_id, records))
     return timelines
 
 
