@@ -24,7 +24,8 @@ SETTINGS = Path(__file__).resolve().with_name("run_pipeline.conf")
 def main(argv=None):
     # argparse keeps the last --config given, so the caller's replaces ours
     args = sys.argv[1:] if argv is None else argv
-    code = cli.main(["pipeline", "--config", str(SETTINGS), *args])
+    with cli.plain_warnings():
+        code = cli.main(["pipeline", "--config", str(SETTINGS), *args])
     if code != 0:
         raise SystemExit(code)
 

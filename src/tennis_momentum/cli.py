@@ -13,11 +13,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 import argparse
 import csv
 import gc
-import hashlib
 import json
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -27,7 +27,7 @@ import numpy as np
 
 # each command imports the other layers it runs when it runs, so a cold
 # ``clean`` loads only these two
-from .errors import DataError, UnknownMatchError
+from .errors import DataError, DataQualityWarning, UnknownMatchError
 from .ingest import (
     CSV_COLUMNS,
     MatchTimeline,
@@ -38,6 +38,14 @@ from .ingest import (
     table_missing_rate,
     table_outlier_report,
 )
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL (3.6 MB) in every command
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +109,7 @@ class RunConfig:
             {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "out"},
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:10]
+        return sha256(payload.encode()).hexdigest()[:10]
 
 
 _SETTINGS = {f.name: f for f in dc_fields(RunConfig)}
@@ -554,8 +562,29 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def plain_warnings():
+    """Within the block, each ``DataQualityWarning`` shown is one
+    ``warning: <message>`` line on stderr, without the source line and
+    location that ``warnings`` adds; other warnings show as before. The two
+    process entry points run ``main`` in it; ``main`` itself leaves
+    ``warnings`` as it is, for library callers."""
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def plain(message, category, *args):
+            if issubclass(category, DataQualityWarning):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *args)
+
+        warnings.showwarning = plain
+        yield
+
+
 def entry() -> None:
-    code = main()
+    with plain_warnings():
+        code = main()
     # the process ends next: skip collecting the objects made at import time
     gc.freeze()
     sys.exit(code)

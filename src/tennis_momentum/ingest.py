@@ -246,14 +246,6 @@ def parse_score_token(token: str) -> int:
     return SCORE_POINTS[key]
 
 
-def parse_elapsed(text: str) -> int:
-    """Parse ``h:mm:ss`` elapsed time to integer seconds, below 2**53."""
-    values, _, bad = _column_elapsed([text])
-    if bad:
-        raise ValueError(bad[1])
-    return values[0]
-
-
 def format_elapsed(seconds: int) -> str:
     h, rem = divmod(int(seconds), 3600)
     m, s = divmod(rem, 60)
@@ -697,8 +689,7 @@ def table_imputation(table: PointTable) -> Imputation:
         raise ImputationError("no record has all fields populated")
 
     # rows with the same present fields share one donor slice
-    present = ~np.isnan(matrix[incomplete])
-    masks, pattern = np.unique(present, axis=0, return_inverse=True)
+    masks, pattern = _presence_groups(~np.isnan(matrix[incomplete]))
     nearest = np.empty(incomplete.size, dtype=np.intp)
     for p, mask in enumerate(masks):
         members = pattern == p
@@ -706,6 +697,17 @@ def table_imputation(table: PointTable) -> Imputation:
         nearest[members] = _nearest_donors(matrix, donor_indices, rows, mask)
     row_gaps = np.column_stack([absent[f][incomplete] for f in fillable])
     return Imputation(tuple(fillable), incomplete, nearest, row_gaps)
+
+
+def _presence_groups(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the bool matrix ``present``, ascending, and the
+    group of each row: ``np.unique(present, axis=0, return_inverse=True)``.
+    Each row's bits are packed, first column highest, into one ``np.void``
+    value, which sorts as the row does, so one 1-d unique groups them."""
+    packed = np.packbits(present, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
+    return present[first], pattern
 
 
 # Rows screened per matrix product: about 2**18 scores (2 MB) per block.

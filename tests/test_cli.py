@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tennis_momentum import cli
+from tennis_momentum import DataQualityWarning, cli
 from tennis_momentum.cli import main, parse_config_file
 from tennis_momentum.records import points_csv_text
 
@@ -662,3 +663,59 @@ def test_module_entry_point_reports_a_data_error(dataset_path, tmp_path, capsys)
     assert done.stderr == expected
     assert done.stderr.startswith("data error: ")
     assert not (tmp_path / "out").exists()
+
+
+def _cold_run(tmp_path, *args):
+    """A fresh interpreter run under ``-X importtime``: (the modules it
+    imported, its other stderr lines), after checking it exited 0."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], env=SRC_ENV,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:")}
+    return imported, [line for line in lines if not line.startswith("import time:")]
+
+
+@pytest.mark.parametrize("run", [
+    ("-m", "tennis_momentum", "predict"),
+    ("-m", "tennis_momentum", "pipeline"),
+    (str(REPO_ROOT / "scripts" / "run_pipeline.py"),),
+], ids=["predict", "pipeline", "run_pipeline.py"])
+def test_cold_commands_do_not_load_openssl(dataset_path, tmp_path, run):
+    # hashlib loads OpenSSL's _hashlib: about 3.6 MB of peak RSS per process
+    imported, other = _cold_run(tmp_path, *run, "--data", str(dataset_path),
+                                "--match", "2023-wimbledon-1304", "--player", "1",
+                                "--out", str(tmp_path / "out"))
+    assert "tennis_momentum.grnn" in imported
+    assert not imported & {"hashlib", "_hashlib"}
+    assert all(line.startswith("warning: ") for line in other)
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({}, "d0a3fb746e"),
+    ({"window": 30}, "8fec062564"),
+    ({"segmentation": "game", "player": 2}, "920591f2d8"),
+])
+def test_digest_is_the_sha256_prefix_of_the_settings(changes, expected):
+    config = cli.RunConfig(**changes)
+    settings = dataclasses.asdict(config)
+    del settings["out"]
+    payload = json.dumps(settings, sort_keys=True).encode()
+    assert config.digest() == hashlib.sha256(payload).hexdigest()[:10] == expected
+    # CPython's own module, _sha2 from 3.12 and _sha256 before, not OpenSSL's
+    assert cli.sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+
+
+def test_entry_point_prints_data_quality_warnings_as_plain_lines(dataset_path, tmp_path):
+    # game segments of the sample where a player wins no point, or none on serve
+    argv = ["indicators", "--segmentation", "game", "--data", str(dataset_path),
+            "--out", str(tmp_path / "out")]
+    with pytest.warns(DataQualityWarning) as caught:
+        assert main(argv) == 0
+    messages = [str(w.message) for w in caught]
+    assert any("no points won in" in m for m in messages)
+    done = subprocess.run([sys.executable, "-m", "tennis_momentum", *argv], env=SRC_ENV,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.splitlines() == [f"warning: {m}" for m in messages]

@@ -36,7 +36,6 @@ from tennis_momentum.ingest import (
     MatchTimeline,
     PlayerColumns,
     format_elapsed,
-    parse_elapsed,
     point_table,
     table_csv_rows,
     table_missing_rate,
@@ -98,11 +97,10 @@ def test_score_token_unknown_raises_with_row(tmp_path):
 
 
 def test_elapsed_parsing_roundtrip():
-    assert parse_elapsed("0:01:31") == 91
-    assert parse_elapsed("2:05:09") == 2 * 3600 + 5 * 60 + 9
+    values, _, bad = ingest._column_elapsed(["0:01:31", "2:05:09"])
+    assert (values, bad) == ([91, 2 * 3600 + 5 * 60 + 9], None)
     assert format_elapsed(91) == "0:01:31"
-    with pytest.raises(ValueError):
-        parse_elapsed("12:34")
+    assert ingest._column_elapsed(["12:34"])[2] == (0, "elapsed time '12:34' is not h:mm:ss")
 
 
 # --- loading --------------------------------------------------------------
@@ -1052,6 +1050,19 @@ def test_impute_matches_reference_over_several_blocks():
     speed_only_rows = 800
     assert speed_only_rows > 2 * (ingest._SCREEN_SCORES // 1000)
     assert impute_missing(records) == _reference_impute(records)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 9, 12, 17, 32, 33])
+def test_presence_groups_equal_the_axis_0_unique(width):
+    # packed rows pad their last byte with zero bits: widths off a multiple of 8
+    rng = np.random.default_rng(width)
+    for rows, share in [(1, 0.5), (5, 0.5), (40, 0.2), (300, 0.9), (300, 0.5)]:
+        present = rng.random((rows, width)) < share
+        masks, pattern = ingest._presence_groups(present)
+        expected_masks, expected_pattern = np.unique(present, axis=0, return_inverse=True)
+        assert masks.dtype == bool
+        assert np.array_equal(masks, expected_masks)
+        assert np.array_equal(pattern, expected_pattern.ravel())
 
 
 # --- box plots ------------------------------------------------------------

@@ -58,8 +58,10 @@ def test_package_root_public_names_are_pinned():
 
 
 def test_package_imports_only_the_standard_library_numpy_and_itself():
-    # scipy is installed but undeclared, so no package module may import it
-    allowed = set(sys.stdlib_module_names) | {"numpy", "tennis_momentum"}
+    # scipy is installed but undeclared, so no package module may import it.
+    # CPython's built-in SHA-256 is _sha2 from 3.12 and _sha256 before, and
+    # each interpreter's stdlib_module_names lists only its own
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tennis_momentum", "_sha2", "_sha256"}
     for path in sorted(Path(tennis_momentum.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
