@@ -8,6 +8,9 @@ player 1. Every CLI flag is accepted and wins over those settings, and a
 
 Usage: python scripts/run_pipeline.py [--data data/sample_points.csv]
        [--match 2023-wimbledon-1304] [--player 1] [--out out] [other CLI flags]
+
+-h or --help prints this text and does nothing else;
+``python -m tennis_momentum --help`` lists the CLI flags.
 """
 
 import gc
@@ -24,6 +27,9 @@ SETTINGS = Path(__file__).resolve().with_name("run_pipeline.conf")
 def main(argv=None):
     # argparse keeps the last --config given, so the caller's replaces ours
     args = sys.argv[1:] if argv is None else argv
+    if {"-h", "--help"} & set(args):
+        print(__doc__.strip())
+        return
     with cli.plain_warnings():
         code = cli.main(["pipeline", "--config", str(SETTINGS), *args])
     if code != 0:

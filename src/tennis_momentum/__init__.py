@@ -12,8 +12,8 @@ _SOURCES = {
     name: module
     for module, names in {
         "errors": (
-            "DataError", "DataQualityWarning", "DegenerateRangeError", "EmptyInputError",
-            "ImputationError", "InsufficientDataError", "RowParseError", "SchemaError",
+            "DataError", "DataQualityWarning", "EmptyInputError", "ImputationError",
+            "InsufficientDataError", "RowParseError", "SchemaError",
             "UndefinedCorrelationError", "UnknownMatchError",
         ),
         "ingest": (
@@ -21,10 +21,7 @@ _SOURCES = {
             "parse_score_token",
         ),
         "records": ("PointRecord", "impute_missing"),
-        "indicators": (
-            "IndicatorVector", "PcaResult", "compute_indicators", "normalize_minmax",
-            "pca_reduce", "positivize",
-        ),
+        "indicators": ("PcaResult", "normalize_minmax", "pca_reduce"),
         "fuzzy": (
             "FuzzyHierarchy", "MembershipVector", "MomentumPoint", "entropy_weights",
             "evaluate_membership", "first_level_eval", "momentum_score",

@@ -45,10 +45,6 @@ class InsufficientDataError(DataError, ValueError):
     than the match, fewer samples than folds); also a ``ValueError``."""
 
 
-class DegenerateRangeError(ValueError):
-    """All values identical where a spread is required (max == min)."""
-
-
 class UndefinedCorrelationError(ValueError):
     """Correlation requested for an input with zero variance."""
 

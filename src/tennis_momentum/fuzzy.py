@@ -254,8 +254,8 @@ def momentum_series(
     matrix, _ = indicator_matrix(timeline.player(player), ends - window, ends)
     names = hierarchy.indicator_names
     matrix = matrix[:, [INDICATOR_NAMES.index(name) for name in names]]
-    # min-max of -x is fl(max - x) / fl(max - min), positivize's value, and a
-    # constant column still normalizes to 0.5
+    # min-max of -x is fl(max - x) / fl(max - min), the reversed orientation
+    # onto [0, 1], and a constant column still normalizes to 0.5
     matrix[:, [name in hierarchy.smaller_is_better for name in names]] *= -1.0
     u = normalize_minmax(matrix)
     single = u.shape[0] < 2

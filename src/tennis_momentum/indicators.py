@@ -2,61 +2,35 @@
 
 Twenty-two indicators are computed per segment (a set, a game, a sliding
 window or any other run of points) by one kernel, ``indicator_matrix``, over
-arrays of (start, end) point bounds. Counts and rates follow the conventions
-below:
+arrays of (start, end) point bounds: x1 points won; x2 mean and x3 mean
+successive difference of won-point durations (s); x4 mean and x5 total score
+value; x6 share of points with own score >= 40; x7 mean and x8 variance of
+the running point share; x9/x10 points won on first/second serve and x11/x12
+their shares; x13 aces; x14 share of points won; x15-x20 untouchable-winner,
+double-fault, unforced-error, net-approach, net-point-won and
+missed-break-chance rates; x21 mean and x22 variance of running distance (m).
+Counts and rates follow the conventions below:
 
 * serve-score rates use points won on serve as the denominator
   (``x11 = x9 / (x9 + x10)``), not serve attempts;
 * any indicator whose denominator is empty is set to 0 and flagged;
-  ``indicator_table`` and ``compute_indicators`` turn the flags into one
-  ``DataQualityWarning`` per kind and player, naming how many segments it
-  affects;
+  ``indicator_table`` turns the flags into one ``DataQualityWarning`` per
+  kind and player, naming how many segments it affects;
 * variances are population variances (1/n).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataQualityWarning, DegenerateRangeError, InsufficientDataError
+from .errors import DataQualityWarning, InsufficientDataError
 from .ingest import MatchTimeline, PlayerColumns
 
 INDICATOR_NAMES = tuple(f"x{i}" for i in range(1, 23))
-
-
-@dataclass(frozen=True)
-class IndicatorVector:
-    """Values of x1..x22 for one player over one segment."""
-
-    x1: float   # points won
-    x2: float   # mean duration of won points (s)
-    x3: float   # mean successive difference of won-point durations (s)
-    x4: float   # mean score value (points scale)
-    x5: float   # total score value
-    x6: float   # share of records with own score >= 40
-    x7: float   # mean running point share
-    x8: float   # variance of running point share
-    x9: float   # points won on first serve
-    x10: float  # points won on second serve
-    x11: float  # x9 / (x9 + x10)
-    x12: float  # x10 / (x9 + x10)
-    x13: float  # aces
-    x14: float  # share of points won
-    x15: float  # untouchable-winner rate
-    x16: float  # double-fault rate
-    x17: float  # unforced-error rate
-    x18: float  # net-approach rate
-    x19: float  # net-point-won rate
-    x20: float  # missed-break-chance rate
-    x21: float  # mean running distance (m)
-    x22: float  # variance of running distance
-
-    def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -90,7 +64,7 @@ def _warn_degenerate(player: int, degenerate: dict[str, np.ndarray]) -> None:
         count = int(mask.sum())
         if count:
             what, zeroed = DEGENERATE_KINDS[kind]
-            # stacklevel 3: the caller of indicator_table or compute_indicators
+            # stacklevel 3: the caller of indicator_table
             warnings.warn(
                 f"player {player}: {what} in {count} of {mask.size} segments; "
                 f"{zeroed} set to 0",
@@ -319,35 +293,6 @@ def indicator_table(
             meta.extend((tl.match_id, p, label) for label in labels)
             blocks.append(matrices[p][rows])
     return meta, np.concatenate(blocks)
-
-
-def compute_indicators(
-    timeline: MatchTimeline, player: int, segmentation: str = "set"
-) -> list[IndicatorVector]:
-    """One IndicatorVector per segment (``"set"`` or ``"game"``).
-
-    Degenerate segments give at most one DataQualityWarning per kind, naming
-    how many segments it affects.
-    """
-    _, matrices, degenerate = _indicator_rows([timeline], [player], segmentation)
-    _warn_degenerate(player, degenerate[player])
-    return [IndicatorVector(*row) for row in matrices[player].tolist()]
-
-
-def positivize(values: Sequence[float]) -> np.ndarray:
-    """Reverse the orientation of a smaller-is-better series onto [0, 1].
-
-    ``x_p = (max - x) / (max - min)``; the minimum maps to 1, the maximum
-    to 0. Raises DegenerateRangeError when all values coincide (callers
-    typically substitute a constant 0.5 column).
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("positivize needs at least one value")
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi == lo:
-        raise DegenerateRangeError("all values identical; cannot positivize")
-    return (hi - arr) / (hi - lo)
 
 
 def normalize_minmax(matrix: np.ndarray) -> np.ndarray:

@@ -261,20 +261,15 @@ def turning_point_stats(
     for direction, samples in groups.items():
         if not samples:
             raise EmptyInputError(f"turning-point group {direction!r} is empty")
-        columns = {
-            "S1": np.array([s.s1 for s in samples], dtype=float),
-            "S2": np.array([s.s2 for s in samples], dtype=float),
-            "S3": np.array([s.s3 for s in samples], dtype=float),
-            "S4": np.array([s.s4 for s in samples], dtype=float),
-        }
+        x, _ = sample_matrix(samples)
         out[direction] = {
-            name: StatSummary(
+            f"S{j}": StatSummary(
                 mean=float(v.mean()),
                 mode=_mode(v),
                 variance=float(v.var()),
                 trimmed_mean=trimmed_mean(v),
             )
-            for name, v in columns.items()
+            for j, v in enumerate(x.T, start=1)
         }
     return TurningPointStats(out)
 

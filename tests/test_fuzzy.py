@@ -16,14 +16,8 @@ from tennis_momentum import (
     momentum_series,
     second_level_eval,
 )
-from tennis_momentum.errors import DegenerateRangeError
 from tennis_momentum.fuzzy import FuzzyHierarchy, GRADE_SCORE_WEIGHTS, MomentumPoint, _grade
-from tennis_momentum.indicators import (
-    INDICATOR_NAMES,
-    indicator_matrix,
-    normalize_minmax,
-    positivize,
-)
+from tennis_momentum.indicators import INDICATOR_NAMES, indicator_matrix, normalize_minmax
 from tennis_momentum.ingest import MatchTimeline
 from tennis_momentum.records import timeline as timeline_of
 
@@ -409,12 +403,13 @@ def _reference_momentum_series(timeline, player, window, hierarchy=None):
     matrix = matrix[:, [INDICATOR_NAMES.index(n) for n in hierarchy.indicator_names]]
     names = hierarchy.indicator_names
 
+    # a smaller-is-better column is reversed onto [0, 1] as (max - x) / (max - min),
+    # a constant one set to 0.5
     for j, name in enumerate(names):
         if name in hierarchy.smaller_is_better:
-            try:
-                matrix[:, j] = positivize(matrix[:, j])
-            except DegenerateRangeError:
-                matrix[:, j] = 0.5
+            x = matrix[:, j]
+            lo, hi = x.min(), x.max()
+            matrix[:, j] = (hi - x) / (hi - lo) if hi > lo else 0.5
     u = normalize_minmax(matrix)
 
     weights: list[np.ndarray] = []
@@ -473,14 +468,13 @@ def test_series_matches_per_window_reference_on_sample(timelines):
 @pytest.mark.parametrize("window", [2, 5, 12, 20])
 def test_series_matches_reference_with_constant_x2(window):
     # player 1 wins in every window, each point lasting 40 s: x2 is constant,
-    # which positivize rejects and the reference sets to 0.5
+    # which has no range to reverse; both sides set it to 0.5
     tl = alternating_then_streak_timeline()
     ends = np.arange(window, len(tl) + 1)
     matrix, _ = indicator_matrix(tl.player(1), ends - window, ends)
     x2 = matrix[:, INDICATOR_NAMES.index("x2")]
     assert (x2 == 40.0).all()
-    with pytest.raises(DegenerateRangeError):
-        positivize(x2)
+    assert (normalize_minmax(-x2) == 0.5).all()
     _assert_series_matches_reference(tl, 1, window)
 
 

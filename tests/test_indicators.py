@@ -1,7 +1,7 @@
 import re
 import warnings
 from dataclasses import replace
-from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,19 +11,15 @@ from pytest import approx
 
 from tennis_momentum import (
     DataQualityWarning,
-    DegenerateRangeError,
     InsufficientDataError,
-    compute_indicators,
     normalize_minmax,
     pca_reduce,
-    positivize,
 )
 from tennis_momentum import indicators
 from tennis_momentum.fuzzy import momentum_series
 from tennis_momentum.ingest import EVENT_FLAGS
 from tennis_momentum.indicators import (
     INDICATOR_NAMES,
-    IndicatorVector,
     indicator_matrix,
     indicator_table,
 )
@@ -32,21 +28,26 @@ from tennis_momentum.records import timeline as timeline_of
 from conftest import make_record, make_timeline
 
 
+def named(row):
+    """x1..x22 of one indicator row, as attributes."""
+    return SimpleNamespace(**dict(zip(INDICATOR_NAMES, row.tolist())))
+
+
 def one_segment(records, player):
     """x1..x22 of ``player`` over ``records`` as one segment, and the kinds of
     degenerate range the kernel flags for it."""
     side = timeline_of(records[0].match_id, records).player(player)
     matrix, degenerate = indicator_matrix(side, [0], [len(records)])
-    return IndicatorVector(*matrix[0].tolist()), {k for k, m in degenerate.items() if m[0]}
+    return named(matrix[0]), {k for k, m in degenerate.items() if m[0]}
 
 
-# The reference oracles below read vectors and segment names with these.
-# x1..x22 of an IndicatorVector, as a tuple
-indicator_values = attrgetter(*INDICATOR_NAMES)
+def match_rows(timeline, player, segmentation="set"):
+    """The (segments, 22) indicator matrix of one match and player."""
+    return indicator_table([timeline], [player], segmentation)[1]
 
 
 def segment_labels(timeline, segmentation="set"):
-    """Segment names aligned with ``compute_indicators`` output."""
+    """Segment names aligned with the rows of ``match_rows``."""
     keys, _, _ = indicators._segments(timeline, segmentation)
     return indicators._labels(keys, segmentation)
 
@@ -148,18 +149,18 @@ def test_segmentation_by_set_and_game():
             )
         )
     timeline = timeline_of("m1", records)
-    assert len(compute_indicators(timeline, 1, "set")) == 2
-    assert len(compute_indicators(timeline, 1, "game")) == 3
+    assert len(match_rows(timeline, 1, "set")) == 2
+    assert len(match_rows(timeline, 1, "game")) == 3
     with pytest.raises(ValueError):
-        compute_indicators(timeline, 1, "quarter")
+        match_rows(timeline, 1, "quarter")
     with pytest.raises(ValueError):
-        compute_indicators(timeline, 3)
+        match_rows(timeline, 3)
 
 
 def test_all_rates_bounded_on_fixture_matches(timelines):
     for tl in timelines:
         for player in (1, 2):
-            for vec in compute_indicators(tl, player):
+            for vec in map(named, match_rows(tl, player)):
                 for name in ("x6", "x11", "x12", "x14", "x15", "x16", "x17",
                              "x18", "x19", "x20"):
                     value = getattr(vec, name)
@@ -169,7 +170,13 @@ def test_all_rates_bounded_on_fixture_matches(timelines):
                     assert vec.x11 + vec.x12 == approx(1.0)
 
 
-# --- positivize -----------------------------------------------------------
+# --- positivization: min-max of the negated column -------------------------
+
+def positivize(values):
+    """A smaller-is-better column reversed onto [0, 1], as the momentum series
+    reverses it: min-max of the negated values."""
+    return normalize_minmax(-np.asarray(values, dtype=float))[:, 0]
+
 
 def test_positivize_reverses_linearly():
     assert positivize([2, 4, 6]) == approx([1.0, 0.5, 0.0])
@@ -177,13 +184,13 @@ def test_positivize_reverses_linearly():
 
 def test_positivize_endpoints():
     out = positivize([3.0, 9.0, 7.0])
-    assert out[np.argmin([3.0, 9.0, 7.0])] == approx(1.0)
-    assert out[np.argmax([3.0, 9.0, 7.0])] == approx(0.0)
+    assert out[np.argmin([3.0, 9.0, 7.0])] == 1.0
+    assert out[np.argmax([3.0, 9.0, 7.0])] == 0.0
 
 
 def test_positivize_degenerate_range():
-    with pytest.raises(DegenerateRangeError):
-        positivize([10.0, 10.0, 10.0])
+    # a constant column has no orientation to reverse: it normalizes to 0.5
+    assert positivize([10.0, 10.0, 10.0]).tolist() == [0.5, 0.5, 0.5]
 
 
 @given(
@@ -287,8 +294,7 @@ def test_pca_zero_variance_column_warns():
 
 
 def test_indicator_count_is_22(timelines):
-    vec = compute_indicators(timelines[0], 1)[0]
-    assert vec.as_array().shape == (22,)
+    assert match_rows(timelines[0], 1).shape[1] == 22 == len(INDICATOR_NAMES)
 
 
 # --- the (start, end) kernel against a per-segment oracle -------------------
@@ -494,16 +500,16 @@ def test_kernel_blocks_split_into_chunks_give_the_same_bits(timelines, monkeypat
     assert np.array_equal(whole, chunked)
 
 
-def test_compute_indicators_matches_reference_segments(timelines):
+def test_single_match_table_matches_reference_segments(timelines):
     tl = timelines[0]
     side = tl.player(2)
     starts, ends = _bounds(tl, "game")
     expected, _ = _reference(side, 2, starts, ends)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
-        vectors = compute_indicators(tl, 2, "game")
-    assert vectors == [IndicatorVector(*row) for row in expected.tolist()]
-    assert len(segment_labels(tl, "game")) == len(vectors)
+        meta, rows = indicator_table([tl], [2], "game")
+    assert rows.tobytes() == expected.tobytes()
+    assert meta == [(tl.match_id, 2, label) for label in segment_labels(tl, "game")]
 
 
 def test_out_of_order_keys_are_rejected():
@@ -514,16 +520,15 @@ def test_out_of_order_keys_are_rejected():
         for i, (s, g) in enumerate(keys)
     )
     timeline = timeline_of("m9", records)
-    for call in (compute_indicators, lambda tl, p, seg: indicator_table([tl], [p], seg)):
-        with pytest.raises(ValueError, match=r"match 'm9'.*\(1, 1\) follows \(1, 2\)"):
-            call(timeline, 1, "game")
+    with pytest.raises(ValueError, match=r"match 'm9'.*\(1, 1\) follows \(1, 2\)"):
+        match_rows(timeline, 1, "game")
     # the set key alone is in order
-    assert len(compute_indicators(timeline, 1, "set")) == 2
+    assert len(match_rows(timeline, 1, "set")) == 2
     backwards = timeline_of("m9", (
         make_record(match_id="m9", set_no=s, point_no=i + 1) for i, s in enumerate((2, 1))
     ))
     with pytest.raises(ValueError, match="m9"):
-        compute_indicators(backwards, 1, "set")
+        match_rows(backwards, 1, "set")
 
 
 def test_degenerate_segments_warn_once_per_kind_with_count():
@@ -531,7 +536,7 @@ def test_degenerate_segments_warn_once_per_kind_with_count():
     timeline = make_timeline([2] * 12 + [1, 2, 1, 2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        compute_indicators(timeline, 1, "game")
+        match_rows(timeline, 1, "game")
     no_wins = [str(w.message) for w in caught if "no points won in" in str(w.message)]
     assert no_wins == ["player 1: no points won in 3 of 4 segments; x2/x3 set to 0"]
     texts = [str(w.message) for w in caught]
@@ -550,12 +555,12 @@ def test_momentum_series_does_not_warn_on_windows_without_wins():
 
 # Oracle: one kernel call per timeline, as before timelines were grouped,
 # and the loop the indicators command ran over it.
-def _reference_compute_indicators(timeline, player, segmentation="set"):
+def _reference_match_rows(timeline, player, segmentation="set"):
     side = timeline.player(player)
     _, starts, ends = indicators._segments(timeline, segmentation)
     matrix, degenerate = indicator_matrix(side, starts, ends)
     indicators._warn_degenerate(player, degenerate)
-    return [IndicatorVector(*row) for row in matrix.tolist()]
+    return matrix
 
 
 def _reference_indicator_table(timelines, players, segmentation):
@@ -564,10 +569,8 @@ def _reference_indicator_table(timelines, players, segmentation):
     for tl in timelines:
         labels = segment_labels(tl, segmentation)
         for player in players:
-            vectors = _reference_compute_indicators(tl, player, segmentation)
-            for label, vec in zip(labels, vectors):
-                rows.append((tl.match_id, player, label))
-                matrix.append(indicator_values(vec))
+            rows.extend((tl.match_id, player, label) for label in labels)
+            matrix.extend(_reference_match_rows(tl, player, segmentation))
     return rows, np.asarray(matrix)
 
 
@@ -677,7 +680,7 @@ def test_indicators_command_warns_once_per_kind_and_player(
         for player in (1, 2):
             with warnings.catch_warnings(record=True) as per_timeline:
                 warnings.simplefilter("always")
-                _reference_compute_indicators(tl, player, "game")
+                _reference_match_rows(tl, player, "game")
             for key, (count, _) in _tally(per_timeline).items():
                 expected[key] = expected.get(key, 0) + count
     segments = sum(len(segment_labels(tl, "game")) for tl in timelines)

@@ -1,4 +1,5 @@
-"""SHA-256 of ``clean``, ``predict``, ``expand``, ``indicators`` and ``evaluate`` outputs, pinned.
+"""SHA-256 of ``clean``, ``predict``, ``expand``, ``indicators``, ``evaluate``,
+``correlate`` and ``turning-points`` outputs, pinned.
 
 ``tests/data/pinned_outputs.json`` holds, under ``clean``, the digests of the
 cleaned CSV, the missing-rate table and the box-plot table that ``clean``
@@ -10,7 +11,10 @@ the expansion sweep. Under ``indicators`` it holds the digests of the set and
 game ``indicators --player 0`` files of the whole sample, and under
 ``evaluate`` those of ``evaluate --player 0`` for every sample match at
 window 20 and for match 1304 at windows 5 and 60; they pin the indicator
-arithmetic bit for bit. Regenerate (only when a change of these outputs is
+arithmetic bit for bit. Under ``momentum`` it holds the digests of the
+``correlate`` and ``turning-points`` files of every sample match with
+``--player 0``, which pin the correlation matrix and the turning-point
+windows and statistics. Regenerate (only when a change of these outputs is
 intended) with::
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
@@ -46,14 +50,15 @@ def clean_digests() -> dict[str, str]:
         }
 
 
-def model_digests() -> dict[str, str]:
-    """SHA-256 per ``predict-points`` and ``expand`` output of every sample
-    match, keyed by match and file name without the config digest."""
+def match_digests(commands: tuple[str, ...]) -> dict[str, str]:
+    """SHA-256 per output of ``commands`` (``predict-report`` left out) on
+    every sample match with ``--player 0``, keyed by match and file name
+    without the config digest."""
     from tennis_momentum.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         for match in MATCHES:
-            for command in ("predict", "expand"):
+            for command in commands:
                 argv = [command, "--data", str(SAMPLE), "--match", match,
                         "--player", "0", "--out", tmp]
                 assert main(argv) == 0
@@ -62,6 +67,16 @@ def model_digests() -> dict[str, str]:
             for path in sorted(Path(tmp).glob("*/*"))
             if not path.name.startswith("predict-report")
         }
+
+
+def model_digests() -> dict[str, str]:
+    """The ``predict-points`` and ``expand`` outputs of every sample match."""
+    return match_digests(("predict", "expand"))
+
+
+def momentum_digests() -> dict[str, str]:
+    """The ``correlate`` and ``turning-points`` outputs of every sample match."""
+    return match_digests(("correlate", "turning-points"))
 
 
 def indicator_digests() -> dict[str, str]:
@@ -105,6 +120,10 @@ def test_model_outputs_match_pinned():
     assert model_digests() == json.loads(PINNED.read_text())["models"]
 
 
+def test_momentum_outputs_match_pinned():
+    assert momentum_digests() == json.loads(PINNED.read_text())["momentum"]
+
+
 def test_indicator_outputs_match_pinned():
     assert indicator_digests() == json.loads(PINNED.read_text())["indicators"]
 
@@ -120,6 +139,7 @@ if __name__ == "__main__":
         "models": model_digests(),
         "indicators": indicator_digests(),
         "evaluate": evaluate_digests(),
+        "momentum": momentum_digests(),
     }
     PINNED.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

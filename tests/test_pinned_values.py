@@ -29,21 +29,19 @@ FEATURE_MATCH = "2023-wimbledon-1310"
 def pinned_values() -> dict[str, list]:
     """Every pinned quantity as rows of numbers, keyed by what it is."""
     from tennis_momentum import (
-        compute_indicators,
         extra_feature_columns,
         extract_momentum_samples,
         load_matches,
         momentum_series,
     )
+    from tennis_momentum.indicators import indicator_table
     from tennis_momentum.momentum import EXTRA_FEATURE_NAMES
 
     timelines = {tl.match_id: tl for tl in load_matches(SAMPLE)}
     values = {}
     for player in (1, 2):
-        vectors = compute_indicators(timelines[INDICATOR_MATCH], player, "game")
-        values[f"indicators/game/{INDICATOR_MATCH}/p{player}"] = [
-            [float(v) for v in vec.as_array()] for vec in vectors
-        ]
+        _, matrix = indicator_table([timelines[INDICATOR_MATCH]], [player], "game")
+        values[f"indicators/game/{INDICATOR_MATCH}/p{player}"] = matrix.tolist()
         for window in MOMENTUM_WINDOWS:
             series = momentum_series(timelines[MOMENTUM_MATCH], player, window)
             values[f"momentum/{MOMENTUM_MATCH}/p{player}/w{window}"] = [

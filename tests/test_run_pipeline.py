@@ -113,6 +113,18 @@ def test_script_process_writes_and_prints_what_main_does(pipeline, dataset_path,
     assert len(_files(cold)) == 13
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_script_docstring_and_runs_nothing(pipeline, tmp_path, flag):
+    # an absent --data shows that nothing is loaded
+    done = _run_script("--data", tmp_path / "absent.csv", flag, "--out", tmp_path / "out",
+                       cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == pipeline.__doc__.strip() + "\n"
+    assert "``tennis-momentum pipeline``" in done.stdout
+    assert "run_pipeline.conf" in done.stdout
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_missing_file_is_data_error(tmp_path):
     done = _run_script("--data", tmp_path / "absent.csv", "--out", tmp_path / "out",
                        cwd=tmp_path)
