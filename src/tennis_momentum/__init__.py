@@ -16,10 +16,7 @@ _SOURCES = {
             "InsufficientDataError", "RowParseError", "SchemaError",
             "UndefinedCorrelationError", "UnknownMatchError",
         ),
-        "ingest": (
-            "BoxplotReport", "MatchTimeline", "MissingReport", "load_matches",
-            "parse_score_token",
-        ),
+        "ingest": ("BoxplotReport", "MatchTimeline", "load_matches", "parse_score_token"),
         "records": ("PointRecord", "impute_missing"),
         "indicators": ("PcaResult", "normalize_minmax", "pca_reduce"),
         "fuzzy": (
@@ -28,9 +25,9 @@ _SOURCES = {
             "momentum_series", "second_level_eval",
         ),
         "momentum": (
-            "CorrelationMatrix", "MomentumSample", "TurningPointStats",
-            "correlation_matrix", "detect_turning_points", "extra_feature_columns",
-            "extract_momentum_samples", "pearson", "turning_point_stats",
+            "CorrelationMatrix", "MomentumSample", "correlation_matrix",
+            "detect_turning_points", "extra_feature_columns", "extract_momentum_samples",
+            "pearson", "turning_point_stats",
         ),
         "grnn": (
             "CvConfig", "EvalReport", "GrnnModel", "SweepResult", "evaluate",

@@ -277,7 +277,7 @@ def cmd_clean(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
 
     out = Outputs(config)
     out.csv("clean", CSV_COLUMNS, table_csv_rows(points, filled))
-    out.table("missing", ["column", "missing_rate"], sorted(before.rates.items()))
+    out.table("missing", ["column", "missing_rate"], sorted(before.items()))
     header = ["column", "min", "q1", "median", "q3", "max",
               "lower_fence", "upper_fence", "outlier_count"]
     out.table("boxplot", header, [
@@ -301,10 +301,10 @@ def cmd_indicators(config: RunConfig, timelines: list[MatchTimeline]) -> list[Pa
         + list(INDICATOR_NAMES)
         + [f"pc{i + 1}" for i in range(k)]
     )
-    full_rows = [
+    full_rows = (
         [*key, *values, *scores]
         for key, values, scores in zip(meta, matrix.tolist(), result.scores.tolist())
-    ]
+    )
     out = Outputs(config)
     out.csv("indicators", header, full_rows)
     return out.paths
@@ -351,17 +351,17 @@ def cmd_turning_points(config: RunConfig, timelines: list[MatchTimeline]) -> lis
         header = ["turn_index", "direction", "sample_index", "S1", "S2", "S3", "S4",
                   "omega"]
         out.csv(f"turning-windows-p{player}", header, [
-            [turn.index, turn.direction, s.index, s.s1, s.s2, s.s3, s.s4, s.omega]
-            for turn in turns for s in turn.window
+            [turn.index, turn.direction, *sample]
+            for turn in turns for sample in turn.window
         ])
 
         groups = momentum.group_turning_windows(turns)
         stat_rows = []
         if groups:
             stats = momentum.turning_point_stats(groups)
-            for direction in sorted(stats.stats):
+            for direction in sorted(stats):
                 for feature in momentum.FEATURE_NAMES:
-                    s = stats.stats[direction][feature]
+                    s = stats[direction][feature]
                     stat_rows.append(
                         [direction, feature, s.mean, s.mode, s.variance,
                          s.trimmed_mean]
@@ -441,7 +441,7 @@ def cmd_report(config: RunConfig, timelines: list[MatchTimeline]) -> list[Path]:
     from . import grnn, momentum
 
     tl = _select_match(timelines, config)
-    rates = table_missing_rate(point_table([tl])).rates
+    rates = table_missing_rate(point_table([tl]))
     cv = config.cv_config()
     payload = {
         "match_id": tl.match_id,

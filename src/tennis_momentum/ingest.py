@@ -137,13 +137,6 @@ class PlayerColumns:
 
 
 @dataclass(frozen=True)
-class MissingReport:
-    """Per-column fraction of records with an absent value."""
-
-    rates: dict[str, float]
-
-
-@dataclass(frozen=True)
 class BoxplotStats:
     minimum: float
     q1: float
@@ -286,38 +279,38 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _first_bad(cells, values, floats, rules, failed, nan_values=False):
+def _first_bad(cells, values, floats, rules, failed):
     """The first of ``failed`` and the present cells before it breaking a rule.
-    Absent cells (None) are NaN and pass; a present one is NaN only if ``nan_values``."""
+    Absent cells (None) are NaN and pass."""
     stop = failed[0] if failed else len(cells)
     x = floats[..., :stop]
     ok = rules[0][0](x)
     for test, _ in rules[1:]:
         ok &= test(x)
     bad = stop - np.count_nonzero(ok)
-    if bad and bad > (values[:stop].count(None) if nan_values else np.isnan(x).sum()):
+    if bad and bad > values[:stop].count(None):
         i = next(i for i in np.flatnonzero(~ok).tolist() if values[i] is not None)
         message = next(m for test, m in rules if not test(floats[..., i:i + 1]).all())
         return i, message.format(cells[i].strip())
     return failed
 
 
-def _column(convert, rules=(), table=None, fast=None, nan_values=False):
+def _column(convert, rules=(), table=None):
     """A kind's column parser. ``convert`` reads one stripped cell, None if
     absent; common spellings are read by ``table``, whose values pass the
-    rules, or by ``fast``."""
+    rules, or by ``convert`` on the unstripped cells."""
     def parse(cells):
         try:
             if table:
                 values = list(map(table.__getitem__, cells))
                 return values, np.array(values, dtype=float), None
-            values = fast(cells) if fast else list(map(convert, cells))
+            values = list(map(convert, cells))
             floats, failed = np.array(values, dtype=float), None
         except (ValueError, KeyError, OverflowError):
             values, failed = _convert_cells(convert, cells)
             floats = np.array(list(map(_float, values)))
         if rules:
-            failed = _first_bad(cells, values, floats, rules, failed, nan_values)
+            failed = _first_bad(cells, values, floats, rules, failed)
         return values, floats, failed
 
     return parse
@@ -369,9 +362,7 @@ _PARSE_COLUMN = {
     "opt_one_or_two": _integers(*_ONE_OR_TWO, {"1": 1, "2": 2, "": None}),
     "opt_float": _column(lambda cell: float(cell) if cell else None,
                          [(lambda x: (x >= 0) & (x < np.inf),
-                           "must be a non-negative finite number"), _BELOW_2_53],
-                         fast=lambda cells: [float(c) if c else None for c in cells],
-                         nan_values=True),
+                           "must be a non-negative finite number"), _BELOW_2_53]),
     "flag": _integers(lambda x: (x == 0) | (x == 1), "must be 0 or 1",
                       {"0": 0, "1": 1, "": None}),
 }
@@ -586,17 +577,16 @@ def point_table(timelines: Sequence[MatchTimeline]) -> PointTable:
     return PointTable(numbers, text)
 
 
-def table_missing_rate(table: PointTable) -> MissingReport:
+def table_missing_rate(table: PointTable) -> dict[str, float]:
     """Fraction of points with an absent value, per optional column."""
     if not len(table):
         raise EmptyInputError("missing_rate needs at least one record")
     n = len(table)
     # int(): a NumPy scalar rate would be written as "np.float64(...)"
-    rates = {
+    return {
         column: int(table.absent(field).sum()) / n
         for column, field in zip(OPTIONAL_COLUMNS, _OPTIONAL_FIELDS)
     }
-    return MissingReport(rates)
 
 
 def table_outlier_report(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +53,9 @@ EXTRA_FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class MomentumSample:
+class MomentumSample(NamedTuple):
+    """One row of the (n, 6) sample table: ``np.array(samples)`` stacks them."""
+
     index: int  # 1-based point index within the match
     s1: int
     s2: int
@@ -83,13 +85,6 @@ class StatSummary:
     trimmed_mean: float   # 30% of points removed, 15% per tail (floored)
 
 
-@dataclass(frozen=True)
-class TurningPointStats:
-    """Per direction, per feature descriptive statistics."""
-
-    stats: dict[str, dict[str, StatSummary]]
-
-
 def extract_momentum_samples(
     timeline: MatchTimeline, player: int, drop_final: bool = False
 ) -> list[MomentumSample]:
@@ -103,25 +98,23 @@ def extract_momentum_samples(
     won = side.won
     positions = np.arange(won.size)
     last_loss = np.maximum.accumulate(np.where(won, -1, positions))
-    columns = zip(
-        side.sets.astype(int).tolist(),
-        (side.score - side.opp_score).astype(int).tolist(),
-        (positions - last_loss).tolist(),  # S3: points since the last loss
-        (side.points_won - side.opp_points_won).astype(int).tolist(),
-        np.append(won[1:], won[-1]).astype(int).tolist(),
-    )
-    samples = [
-        MomentumSample(i + 1, s1, s2, s3, s4, omega)
-        for i, (s1, s2, s3, s4, omega) in enumerate(columns)
-    ]
-    return samples[:-1] if drop_final else samples
+    table = np.column_stack([
+        positions + 1,
+        side.sets,
+        side.score - side.opp_score,
+        positions - last_loss,  # S3: points since the last loss
+        side.points_won - side.opp_points_won,
+        np.append(won[1:], won[-1]),
+    ]).astype(int)
+    return list(map(MomentumSample._make, (table[:-1] if drop_final else table).tolist()))
 
 
 def sample_matrix(samples: Sequence[MomentumSample]) -> tuple[np.ndarray, np.ndarray]:
     """(n, 4) feature matrix over S1..S4 and the n-vector of labels."""
-    x = np.array([[s.s1, s.s2, s.s3, s.s4] for s in samples], dtype=float)
-    y = np.array([s.omega for s in samples], dtype=float)
-    return x, y
+    # rows of index, S1-S4, omega; np.array inspects each NamedTuple row
+    # and takes about 2.5 times as long
+    table = np.fromiter(chain.from_iterable(samples), float).reshape(-1, 6)
+    return table[:, 1:5].copy(), table[:, 5].copy()
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -176,15 +169,12 @@ def correlation_matrix(samples: Sequence[MomentumSample]) -> CorrelationMatrix:
     return CorrelationMatrix(labels=SAMPLE_COLUMNS, r=out)
 
 
-def _omega_runs(samples: Sequence[MomentumSample]) -> list[tuple[int, int, int]]:
+def _omega_runs(samples: Sequence[MomentumSample]) -> list[tuple[float, int, int]]:
     """Maximal runs of equal omega as (value, start, end) with 1-based bounds."""
-    runs = []
-    start = 0
-    for i in range(1, len(samples) + 1):
-        if i == len(samples) or samples[i].omega != samples[start].omega:
-            runs.append((samples[start].omega, start + 1, i))
-            start = i
-    return runs
+    _, omega = sample_matrix(samples)
+    starts = np.flatnonzero(np.diff(omega, prepend=-1))  # -1 is no label: 0 starts a run
+    ends = np.append(starts[1:], omega.size)
+    return list(zip(omega[starts].tolist(), (starts + 1).tolist(), ends.tolist()))
 
 
 def detect_turning_points(
@@ -255,8 +245,9 @@ def trimmed_mean(values: Sequence[float], trim_total: float = 0.30) -> float:
 
 def turning_point_stats(
     groups: Mapping[str, Sequence[MomentumSample]],
-) -> TurningPointStats:
-    """Mean/mode/population-variance/trimmed-mean of S1..S4 per direction."""
+) -> dict[str, dict[str, StatSummary]]:
+    """Mean/mode/population-variance/trimmed-mean of S1..S4, per direction
+    and feature name."""
     out: dict[str, dict[str, StatSummary]] = {}
     for direction, samples in groups.items():
         if not samples:
@@ -271,7 +262,7 @@ def turning_point_stats(
             )
             for j, v in enumerate(x.T, start=1)
         }
-    return TurningPointStats(out)
+    return out
 
 
 def extra_feature_columns(

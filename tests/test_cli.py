@@ -224,7 +224,7 @@ def test_non_finite_model_settings_are_usage_errors(dataset_path, tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("points", range(2, 7))
+@pytest.mark.parametrize("points", range(1, 7))
 def test_short_match_is_a_data_error_or_runs(dataset_path, tmp_path, capsys, points):
     match = "2023-wimbledon-1304"
     lines = dataset_path.read_text().splitlines()

@@ -23,7 +23,7 @@ EXPECTED_MISSING = {
 
 
 def test_missing_rates_match_reference_profile(timelines):
-    rates = table_missing_rate(point_table(timelines)).rates
+    rates = table_missing_rate(point_table(timelines))
     for column, expected in EXPECTED_MISSING.items():
         assert rates[column] == approx(expected, abs=5e-3), column
 

@@ -864,13 +864,13 @@ def test_loaders_agree_on_a_scope_with_no_rows(tmp_path):
 
 def test_missing_rate_counts_single_gap():
     records = [make_record()] * 999 + [make_record(speed_mph=None)]
-    report = table_missing_rate(_table(records))
-    assert report.rates["speed_mph"] == approx(0.001)
+    rates = table_missing_rate(_table(records))
+    assert rates["speed_mph"] == approx(0.001)
 
 
 def test_missing_rate_zero_when_complete():
-    report = table_missing_rate(_table([make_record(), make_record(point_no=2)]))
-    assert all(rate == 0.0 for rate in report.rates.values())
+    rates = table_missing_rate(_table([make_record(), make_record(point_no=2)]))
+    assert all(rate == 0.0 for rate in rates.values())
 
 
 def test_missing_rate_empty_input():
@@ -926,8 +926,8 @@ def test_impute_fills_every_gap_when_donor_exists():
         make_record(point_no=3, serve_width=None),
         make_record(point_no=4, return_depth=None),
     ]
-    report = table_missing_rate(_table(impute_missing(records)))
-    assert all(rate == 0.0 for rate in report.rates.values())
+    rates = table_missing_rate(_table(impute_missing(records)))
+    assert all(rate == 0.0 for rate in rates.values())
 
 
 def test_impute_without_complete_row_fails():
@@ -1144,11 +1144,10 @@ def _reference_missing_rate(records):
         raise EmptyInputError("missing_rate needs at least one record")
     n = len(records)
     # int(): a NumPy scalar rate would be written as "np.float64(...)"
-    rates = {
+    return {
         column: int(np.isnan(_reference_column(records, field)).sum()) / n
         for column, field in zip(OPTIONAL_COLUMNS, ingest._OPTIONAL_FIELDS)
     }
-    return ingest.MissingReport(rates)
 
 
 def _reference_impute_missing(records):
@@ -1262,7 +1261,7 @@ def _reference_clean(timelines):
     before = _reference_missing_rate(records)
     box = _reference_outlier_report(records)
     cleaned = _reference_impute_missing(records)
-    return _reference_points_csv_text(cleaned), before.rates, box
+    return _reference_points_csv_text(cleaned), before, box
 
 
 def _column_clean(timelines):
@@ -1272,7 +1271,7 @@ def _column_clean(timelines):
     filled = ingest.table_imputation(table)
     buf = io.StringIO()
     csv.writer(buf).writerows([CSV_COLUMNS, *ingest.table_csv_rows(table, filled)])
-    return buf.getvalue(), before.rates, box
+    return buf.getvalue(), before, box
 
 
 def _clean_outcome(clean, timelines):

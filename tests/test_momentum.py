@@ -84,6 +84,24 @@ def test_player_perspectives_negate_s2_s4():
     assert [s.s4 for s in a] == [-s.s4 for s in b]
 
 
+def test_samples_are_the_rows_of_the_sample_table():
+    tl = make_timeline([1, 2, 2, 1, 1, 2, 1])
+    samples = extract_momentum_samples(tl, 2, drop_final=True)
+    table = np.array(samples)
+    assert table.shape == (6, len(MomentumSample._fields))
+    assert table[:, 0].tolist() == [s.index for s in samples] == list(range(1, 7))
+    assert all(type(value) is int for s in samples for value in s)
+    x, y = sample_matrix(samples)
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert x.tolist() == [[s.s1, s.s2, s.s3, s.s4] for s in samples]
+    assert y.tolist() == [s.omega for s in samples]
+
+
+def test_sample_matrix_of_no_samples_keeps_four_columns():
+    x, y = sample_matrix([])
+    assert x.shape == (0, 4) and y.shape == (0,)
+
+
 def test_extraction_rejects_bad_player():
     with pytest.raises(ValueError):
         extract_momentum_samples(make_timeline([1]), 0)
@@ -227,7 +245,7 @@ def test_stats_hand_example():
         MomentumSample(index=i + 1, s1=v, s2=0, s3=0, s4=0, omega=0)
         for i, v in enumerate([1, 1, 2, 3])
     ]
-    stats = turning_point_stats({LOSS_TO_WIN: samples}).stats[LOSS_TO_WIN]["S1"]
+    stats = turning_point_stats({LOSS_TO_WIN: samples})[LOSS_TO_WIN]["S1"]
     assert stats.mode == 1.0
     assert stats.mean == approx(1.75)
     assert stats.variance == approx(0.6875)  # population variance
@@ -238,7 +256,7 @@ def test_stats_constant_data():
         MomentumSample(index=i + 1, s1=4, s2=0, s3=0, s4=0, omega=0)
         for i in range(5)
     ]
-    stats = turning_point_stats({WIN_TO_LOSS: samples}).stats[WIN_TO_LOSS]["S1"]
+    stats = turning_point_stats({WIN_TO_LOSS: samples})[WIN_TO_LOSS]["S1"]
     assert stats.mean == stats.mode == stats.trimmed_mean == 4.0
     assert stats.variance == 0.0
 
@@ -253,7 +271,7 @@ def test_mode_tie_prefers_smaller_value():
         MomentumSample(index=i + 1, s1=v, s2=0, s3=0, s4=0, omega=0)
         for i, v in enumerate([3, 3, 1, 1, 2])
     ]
-    stats = turning_point_stats({LOSS_TO_WIN: samples}).stats[LOSS_TO_WIN]["S1"]
+    stats = turning_point_stats({LOSS_TO_WIN: samples})[LOSS_TO_WIN]["S1"]
     assert stats.mode == 1.0
 
 
